@@ -6,13 +6,23 @@
 # neither the perf plumbing of bench/ nor the `mmc profile --json` /
 # `mmc explain --json` schemas can bit-rot silently.
 
-.PHONY: all test bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check check clean
+.PHONY: all test golden-check bench bench-smoke bench-compare stress native-check native-faults-check profile-check profile-native-check explain-check check clean
 
 all:
 	dune build
 
 test:
 	dune runtest
+
+# Golden drift check: regenerate the test/golden/ fixtures into a
+# temporary directory and diff them against the committed ones, so the
+# blessing tool (test/golden_gen.ml) and the committed oracle cannot
+# drift apart.
+golden-check: all
+	@d=$$(mktemp -d) && \
+	  dune exec test/golden_gen.exe -- $$d > /dev/null && \
+	  diff -r $$d test/golden; \
+	  s=$$?; rm -rf "$$d"; exit $$s
 
 # Full benchmark sweep; writes BENCH_kernels.json and BENCH_telemetry.json.
 bench:
@@ -79,7 +89,7 @@ explain-check: all
 	  > _build/explain_check.json
 	dune exec bench/main.exe -- --check-explain-json _build/explain_check.json
 
-check: all test bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check
+check: all test golden-check bench-smoke stress native-check native-faults-check profile-check profile-native-check explain-check
 
 clean:
 	dune clean

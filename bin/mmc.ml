@@ -416,13 +416,28 @@ let set_kernel_knobs block grain =
     Fmt.epr "mmc: --block and --grain must be positive@.";
     raise (Fatal 2)
 
-let resolve_data_dir = function
-  | Some d -> d
+(* Run [k] in the program's data directory: --data-dir as given, or a
+   fresh temporary directory removed afterwards on every exit path —
+   recursively, since programs writeMatrix into it. *)
+let with_data_dir data_dir k =
+  match data_dir with
+  | Some d -> k d
   | None ->
       let d = Filename.temp_file "mmc_run" "" in
       Sys.remove d;
       Sys.mkdir d 0o755;
-      d
+      let rec remove path =
+        if Sys.is_directory path then begin
+          Array.iter
+            (fun f -> remove (Filename.concat path f))
+            (Sys.readdir path);
+          Sys.rmdir path
+        end
+        else Sys.remove path
+      in
+      Fun.protect
+        ~finally:(fun () -> try remove d with Sys_error _ -> ())
+        (fun () -> k d)
 
 let run_cmd =
   let run exts_names threads data_dir block grain pipeline robust remarks tele
@@ -434,7 +449,7 @@ let run_cmd =
       resolve_config pipeline c ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" (threads > 1))
     in
-    let dir = resolve_data_dir data_dir in
+    with_data_dir data_dir @@ fun dir ->
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
@@ -575,7 +590,7 @@ let exec_cmd =
                (not no_copy_elim))
             "auto-par" (threads > 1))
     in
-    let dir = resolve_data_dir data_dir in
+    with_data_dir data_dir @@ fun dir ->
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let line_file =
@@ -680,7 +695,7 @@ let profile_cmd =
       resolve_config pipeline c ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" true)
     in
-    let dir = resolve_data_dir data_dir in
+    with_data_dir data_dir @@ fun dir ->
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in

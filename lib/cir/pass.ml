@@ -3,8 +3,7 @@
     A pass is a named program→program rewrite registered with the driver's
     pipeline ([Driver.Pipeline]); the manager runs the sequence uniformly —
     timing each pass ([pass.<name>.ns] gauges), scoping its optimization
-    remarks, capturing IR snapshots after it actually ran, and renumbering
-    gensym temporaries after passes that delete statements.
+    remarks, and capturing IR snapshots after it actually ran.
 
     Passes communicate with the baseline lowering through {!Ir.Site}
     annotations: the lowering emits the {e unoptimized} statements for
@@ -30,9 +29,6 @@ type ctx = {
   warn : Support.Diag.t -> unit;  (** sink for non-fatal diagnostics *)
   sink : Snapshot.sink option;
       (** where [--dump-ir] snapshots go; [None] when nobody asked *)
-  mutable syms : (string * string) list;
-      (** gensym allocation trail [(name, hint)] — updated by
-          {!renumber} so consecutive renumbering passes stay coherent *)
   mutable auto_par_ran : bool;
       (** did an enabled auto-par pass already run?  The transform pass
           uses this to tell "script broken by ParFor promotion" (warn and
@@ -42,105 +38,12 @@ type ctx = {
 type t = {
   name : string;  (** pipeline/CLI/remark name, e.g. ["copy-elim"] *)
   default_on : bool;  (** enabled when the user says nothing *)
-  renumbers : bool;
-      (** the pass deletes statements when enabled, so surviving gensym
-          temporaries must be renumbered after it runs *)
   managed_snapshot : bool;
       (** the manager records an ["ir after <name> (program)"] snapshot
           after the pass runs; passes with their own finer-grained
           snapshots (transform's per-clause dumps) opt out *)
   run : ctx -> enabled:bool -> program -> program;
 }
-
-(* --- site payload renaming ------------------------------------------------ *)
-
-(* [site] is an open type, so renaming the variable names a payload
-   mentions needs help from the constructors' owners: each extension
-   registers a renamer that rewrites its own sites (returning foreign
-   sites unchanged).  Registration happens at module initialisation of
-   the extension's site module. *)
-
-let site_renamers : ((string -> string) -> site -> site) list ref = ref []
-let register_site_renamer f = site_renamers := f :: !site_renamers
-let rename_site f site = List.fold_left (fun s r -> r f s) site !site_renamers
-
-(* --- whole-program renaming ----------------------------------------------- *)
-
-(** [rename_stmts f stmts] — apply the name substitution [f] to every
-    binding and use: declarations, loop indices, lvalues, variable and
-    call-target references, spawn targets, and site payload fields. *)
-let rename_stmts f stmts =
-  let fe = function
-    | Var n -> Var (f n)
-    | Call (n, args) -> Call (f n, args)
-    | e -> e
-  in
-  let rec rlv = function
-    | LVar v -> LVar (f v)
-    | LField (lv, i) -> LField (rlv lv, i)
-  in
-  let fs = function
-    | Decl (t, n, e) -> Decl (t, f n, e)
-    | Assign (lv, e) -> Assign (rlv lv, e)
-    | For l -> For { l with index = f l.index }
-    | ParFor l -> ParFor { l with index = f l.index }
-    | Spawn (lv, n, args) -> Spawn (Option.map rlv lv, f n, args)
-    | Site (site, b) -> Site (rename_site f site, b)
-    | s -> s
-  in
-  map_stmts fe fs stmts
-
-let rename_program f (p : program) : program =
-  {
-    funcs =
-      List.map
-        (fun fn ->
-          {
-            fn with
-            f_name = f fn.f_name;
-            f_params = List.map (fun (t, n) -> (t, f n)) fn.f_params;
-            f_body = rename_stmts f fn.f_body;
-            f_origin = Option.map f fn.f_origin;
-          })
-        p.funcs;
-    main = f p.main;
-  }
-
-(** [renumber ctx p] — after a pass deleted statements, rename every
-    surviving gensym temporary to the name a lowering that never emitted
-    the deleted code would have chosen: survivors keep their allocation
-    order from the trail and are renumbered densely from 0.  The identity
-    when nothing was deleted.  Also rewrites [ctx.syms] so a later
-    renumbering pass sees current names. *)
-let renumber (ctx : ctx) (p : program) : program =
-  let present = Hashtbl.create 256 in
-  let note n =
-    Hashtbl.replace present n ();
-    n
-  in
-  ignore (rename_program note p);
-  let table = Hashtbl.create 64 in
-  let rank = ref 0 in
-  let syms' =
-    List.filter_map
-      (fun (name, hint) ->
-        if not (Hashtbl.mem present name) then None
-        else begin
-          let name' =
-            Printf.sprintf "%s%s%d" Support.Gensym.reserved_prefix hint !rank
-          in
-          incr rank;
-          if name' <> name then Hashtbl.replace table name name';
-          Some (name', hint)
-        end)
-      ctx.syms
-  in
-  ctx.syms <- syms';
-  if Hashtbl.length table = 0 then p
-  else
-    rename_program
-      (fun n -> Option.value (Hashtbl.find_opt table n) ~default:n)
-      p
 
 (* --- site traversal helper ------------------------------------------------ *)
 
@@ -208,7 +111,6 @@ let rc_report : t =
   {
     name = "rc";
     default_on = true;
-    renumbers = false;
     managed_snapshot = false;
     run =
       (fun ctx ~enabled:_ p ->

@@ -555,11 +555,9 @@ let runs = ref 0
     slice-copy aliasing, auto-parallelization, transform scripts) is
     recorded as a [Site] annotation around the unoptimized statements it
     would rewrite; the CIR pass pipeline consumes the sites.  [rc]
-    enables reference-count insertion (the refptr extension).  Returns
-    the program together with the gensym allocation trail the pipeline
-    renumbers surviving temporaries from. *)
+    enables reference-count insertion (the refptr extension). *)
 let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
-    (prog : Ast.program) : program * (string * string) list =
+    (prog : Ast.program) : program =
   incr runs;
   let t =
     {
@@ -593,4 +591,4 @@ let lower_program ?(warn = fun _ -> ()) (hooks : hooks list) ~(rc : bool)
       | f :: _ -> f.Ast.fname
       | [] -> "main"
   in
-  ({ funcs; main }, Support.Gensym.trail t.gensym)
+  { funcs; main }

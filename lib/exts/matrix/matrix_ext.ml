@@ -1,6 +1,6 @@
 (** The matrix-processing language extension (§III) packaged for the
     driver: concrete syntax, tree→AST builders, semantic analysis hooks,
-    lowering hooks, the §III-A5 optimization pass, and AG-spec metadata for
+    lowering hooks, the CIR optimization passes, and AG-spec metadata for
     the modular well-definedness analysis. *)
 
 let name = Syntax.name
@@ -23,10 +23,6 @@ let lower_hooks : Cminus.Lower.hooks =
     l_subscript_assign =
       (fun t base ixs rhs span -> Lower.h_subscript_assign t base ixs rhs span);
   }
-
-(** The §III-A5 high-level optimizations (slice-copy elimination), applied
-    on the AST before semantic analysis. *)
-let optimize = Opt.run
 
 (** CIR passes, in default pipeline order: fuse, copy-elim, auto-par. *)
 let passes = Passes.all

@@ -19,6 +19,22 @@ type autopar_kind =
       (** matrixMap dispatch loop; carries the mapped function's name for
           the remark *)
 
+(** An in-place reading of a slice with one [:] bound by a declaration
+    ([Matrix t <1> s = m[i, j, :];]): every [s[k]] can read
+    [m[i, j, k]] directly, the Fig 1 → Fig 3 rewrite (§III-A5). *)
+type inplace = {
+  var : string;  (** the declared slice variable *)
+  fixed : Cir.Ir.expr list;
+      (** the base's indices outside the free dimension, in order; atoms
+          (variables or literals), so re-evaluating them is free *)
+  free : int;  (** the base dimension the [:] selects *)
+  decl : Support.Pos.span;  (** the slice declaration *)
+  blocked : (string option * string) option;
+      (** [None] when the lowering-time analysis proved every read of
+          [var] equal to the base read; otherwise the blocking variable
+          (if one is to blame) and the reason as prose *)
+}
+
 type Cir.Ir.site +=
   | FuseCopy of {
       result : string;  (** the with-loop's result matrix *)
@@ -34,20 +50,15 @@ type Cir.Ir.site +=
       identity : bool;  (** selection is the whole matrix *)
       safe : bool;  (** the alias analysis proved aliasing observable-free *)
       why : string;  (** the analysis verdict as prose *)
+      inplace : inplace option;
+          (** set for a declared slice with exactly one [:] *)
       span : Support.Pos.span;
     }
       (** Payload: the allocating copy of a slice.  Copy elimination
-          replaces it with a retain of [base] (renaming [slice] to
-          [base]) when [identity && safe]. *)
+          drops it and redirects the slice variable's reads to [base]
+          when [inplace] is proven; otherwise it replaces the payload
+          with a retain of [base] (renaming [slice] to [base]) when
+          [identity && safe]. *)
   | AutoPar of { kind : autopar_kind; span : Support.Pos.span }
       (** Payload: a sequential loop nest the auto-par pass may promote
           to a [ParFor] region. *)
-
-(* Renamer hook: lets the pipeline's gensym renumbering rewrite the
-   variable names our payloads mention (see {!Cir.Pass.renumber}). *)
-let () =
-  Cir.Pass.register_site_renamer (fun f site ->
-      match site with
-      | FuseCopy r -> FuseCopy { r with result = f r.result; copy = f r.copy }
-      | SliceAlias r -> SliceAlias { r with base = f r.base; slice = f r.slice }
-      | s -> s)

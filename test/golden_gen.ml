@@ -1,12 +1,12 @@
-(* Regenerates the pipeline-equivalence oracle under test/golden/.
-
-   The fixtures were blessed from the pre-pass-pipeline compiler (the
-   monolithic lowering that applied fuse/copy-elim/auto-par while
-   building the CIR); the staged pass pipeline must reproduce them
-   byte-for-byte under the default pass order.  Rerun only when the
-   *intended* output changes:
+(* Regenerates the golden fixtures under test/golden/.  The .out run
+   results and the .explain report are the semantic oracle; the emitted
+   C pins the generated code, temporaries' names included.  Rerun only
+   when the *intended* output changes:
 
      dune exec test/golden_gen.exe -- test/golden
+
+   `make golden-check` regenerates into a scratch directory and diffs, so
+   this tool and the committed fixtures cannot drift apart.
 
    Each corpus entry <name> gets <name>.mc (source), <name>.par.c /
    <name>.seq.c (emitted C with auto-par on/off, fuse and copy-elim at
@@ -25,13 +25,13 @@ let write path text =
   Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 let emit ~auto_par src =
-  let config = Driver.config_of_flags ~auto_par all4 in
+  let config = Driver.Pipeline.enable (Driver.default_config all4) "auto-par" auto_par in
   match Driver.compile_to_c ~config all4 src with
   | Driver.Ok_ text -> text
   | Driver.Failed ds -> die "emit failed: %s" (Driver.diags_to_string ds)
 
 let run_result src =
-  let config = Driver.config_of_flags ~auto_par:true all4 in
+  let config = Driver.explain_config all4 in
   match Driver.run ~config all4 src [] with
   | Driver.Ok_ v -> Fmt.str "%a" Interp.Eval.pp_value v
   | Driver.Failed ds -> die "run failed: %s" (Driver.diags_to_string ds)

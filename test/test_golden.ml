@@ -1,8 +1,9 @@
-(* Pipeline-equivalence suite: the staged pass pipeline against the
-   blessed pre-refactor oracle under test/golden/ (regenerate with
-   golden_gen.ml only when the *intended* output changes), plus the
-   pass-manager guarantees the refactor introduced: exactly-once
-   lowering, per-pass timing gauges, the --passes reordering payoff, the
+(* Golden suite: the staged pass pipeline against the blessed fixtures
+   under test/golden/ — run outputs and the explain report as the
+   semantic oracle, emitted C pinned byte for byte (regenerate with
+   golden_gen.ml only when the *intended* output changes) — plus the
+   pass-manager guarantees: -O0 applies nothing, exactly-once lowering,
+   per-pass timing gauges, the --passes reordering payoff, the
    diff-size cap, and the caret-free unknown-pass diagnostics. *)
 
 module R = Support.Remark
@@ -28,7 +29,7 @@ let stems =
   |> List.sort compare
 
 let emit ~auto_par src =
-  let config = Driver.config_of_flags ~auto_par all4 in
+  let config = Driver.Pipeline.enable (Driver.default_config all4) "auto-par" auto_par in
   match Driver.compile_to_c ~config all4 src with
   | Driver.Ok_ text -> text
   | Driver.Failed ds ->
@@ -58,7 +59,7 @@ let test_run_results_match_oracle () =
       let out = Filename.concat golden_dir (stem ^ ".out") in
       if Sys.file_exists out then
         let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
-        let config = Driver.config_of_flags ~auto_par:true all4 in
+        let config = Driver.explain_config all4 in
         match Driver.run ~config all4 src [] with
         | Driver.Ok_ v ->
             Alcotest.(check string)
@@ -81,6 +82,31 @@ let test_explain_report_matches_oracle () =
         (Driver.Explain_report.to_string ~src report)
   | Driver.Failed ds, _ ->
       Alcotest.failf "explain failed: %s" (Driver.diags_to_string ds)
+
+(* --- -O0 means no optimization -------------------------------------------- *)
+
+(* With every stage disabled no optimizing pass may report an Applied
+   decision on any corpus program (the rc pass only reports bookkeeping). *)
+let test_o0_applies_nothing () =
+  let config = Driver.Pipeline.set_all (Driver.default_config all4) false in
+  List.iter
+    (fun stem ->
+      let src = read (Filename.concat golden_dir (stem ^ ".mc")) in
+      match Driver.explain ~config all4 src with
+      | Driver.Ok_ _, report ->
+          List.iter
+            (fun pass ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s applied at -O0" stem pass)
+                0
+                (List.length
+                   (R.filter ~pass ~kind:R.Applied
+                      report.Driver.Explain_report.remarks)))
+            [ "fuse"; "copy-elim"; "auto-par"; "transform" ]
+      | Driver.Failed ds, _ ->
+          Alcotest.failf "%s: explain failed: %s" stem
+            (Driver.diags_to_string ds))
+    stems
 
 (* --- exactly-once lowering ------------------------------------------------ *)
 
@@ -320,6 +346,8 @@ let suite =
       test_run_results_match_oracle;
     Alcotest.test_case "default explain report bit-identical to oracle" `Quick
       test_explain_report_matches_oracle;
+    Alcotest.test_case "-O0 applies no optimization (corpus)" `Quick
+      test_o0_applies_nothing;
     Alcotest.test_case "explain --dump-ir=all lowers exactly once" `Quick
       test_explain_lowers_exactly_once;
     Alcotest.test_case "pass.<name>.ns gauges exported" `Quick

@@ -80,14 +80,14 @@ let both_profiles ~name ~inputs src : R.t * R.t * Native.Exec.outcome =
     inputs;
   Runtime.Rc.reset ();
   let interp_report =
-    match Driver.profile ~config:(Driver.config_of_flags ~auto_par:false full) ~dir:dir_i full src [] with
+    match Driver.profile ~config:(Driver.default_config full) ~dir:dir_i full src [] with
     | Driver.Ok_ _, report -> report
     | Driver.Failed ds, _ ->
         Alcotest.failf "%s: interp profile failed: %s" name
           (Driver.diags_to_string ds)
   in
   match
-    Driver.profile_native ~config:(Driver.config_of_flags ~auto_par:false full) ~dir:dir_n
+    Driver.profile_native ~config:(Driver.default_config full) ~dir:dir_n
       ~cache_dir:(Lazy.force suite_cache) full src
   with
   | Driver.Ok_ (outcome, native_report) ->
@@ -226,7 +226,7 @@ let test_cache_isolation () =
   let src = example "eddy_energy.mc" in
   let exec_plain () =
     match
-      Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.config_of_flags ~auto_par:false full) ~cache_dir full src
+      Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache_dir full src
     with
     | Driver.Ok_ o -> o
     | Driver.Failed ds ->
@@ -234,7 +234,7 @@ let test_cache_isolation () =
   in
   let prof () =
     match
-      Driver.profile_native ~config:(Driver.config_of_flags ~auto_par:false full) ~dir:(fresh_dir ()) ~cache_dir
+      Driver.profile_native ~config:(Driver.default_config full) ~dir:(fresh_dir ()) ~cache_dir
         full src
     with
     | Driver.Ok_ (o, _) -> o
@@ -260,7 +260,7 @@ let test_exec_telemetry_gauges () =
   Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
   @@ fun () ->
   (match
-     Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.config_of_flags ~auto_par:false full) ~cache:false
+     Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache:false
        ~cache_dir:(Lazy.force suite_cache) full (example "eddy_energy.mc")
    with
   | Driver.Ok_ _ -> ()
@@ -292,7 +292,7 @@ let test_keep_c_instrumented_line_directives () =
   let keep_dir = fresh_dir () in
   let keep = Filename.concat keep_dir "kept.c" in
   (match
-     Driver.profile_native ~config:(Driver.config_of_flags ~auto_par:false full) ~dir:(fresh_dir ())
+     Driver.profile_native ~config:(Driver.default_config full) ~dir:(fresh_dir ())
        ~cache_dir:(Lazy.force suite_cache) ~keep_c:keep ~line_file:"prog.mc"
        full (example "eddy_energy.mc")
    with

@@ -44,7 +44,7 @@ let lower_src ?(auto_par = false) src =
   match Driver.frontend all4 src with
   | Driver.Failed ds -> Alcotest.failf "frontend: %s" (Driver.diags_to_string ds)
   | Driver.Ok_ ast -> (
-      match Driver.lower ~config:(Driver.config_of_flags ~auto_par all4) all4 ast with
+      match Driver.lower ~config:(Driver.Pipeline.enable (Driver.default_config all4) "auto-par" auto_par) all4 ast with
       | Driver.Failed ds ->
           Alcotest.failf "lower: %s" (Driver.diags_to_string ds)
       | Driver.Ok_ prog -> prog)
@@ -193,7 +193,7 @@ let test_line_directives () =
 (* --- Driver.profile coverage and report ----------------------------------- *)
 
 let test_profile_coverage () =
-  let outcome, report = Driver.profile ~config:(Driver.config_of_flags ~auto_par:false all4) all4 eddy_src [] in
+  let outcome, report = Driver.profile ~config:(Driver.default_config all4) all4 eddy_src [] in
   (match outcome with
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds -> Alcotest.failf "run: %s" (Driver.diags_to_string ds));
@@ -227,7 +227,7 @@ let test_profile_coverage () =
 let test_profile_parallel_coverage () =
   Runtime.Pool.with_pool 2 (fun pool ->
       let outcome, report =
-        Driver.profile ~config:(Driver.config_of_flags ~auto_par:true all4) ~pool all4 eddy_src []
+        Driver.profile ~config:(Driver.explain_config all4) ~pool all4 eddy_src []
       in
       (match outcome with
       | Driver.Ok_ _ -> ()
