@@ -28,12 +28,12 @@ golden-check: all
 bench:
 	dune exec bench/main.exe
 
-# Seconds, not minutes: kernel group at tiny sizes + pool baselines.
+# Seconds, not minutes: the C5 pool and spawn-per-region baselines.
 bench-smoke:
 	dune build @bench-smoke
 
-# Regression gate: re-measure the C8 kernels at capped sizes and exit
-# non-zero if any is >25% slower than the committed baseline numbers.
+# Regression gate: re-measure the native rows (C12-C14) of a
+# BENCH_kernels.json baseline and exit non-zero if any is >25% slower.
 bench-compare: all
 	dune exec bench/main.exe -- --compare BENCH_kernels.json
 

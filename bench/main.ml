@@ -11,16 +11,16 @@
      C5  enhanced fork-join pool vs naive spawn-per-region (§III-C)
      C6  refcounting overhead and allocator behaviour (§III-B/C)
      C7  composition cost and the composability analyses (§VI)
-     C8  parallel cache-blocked runtime kernels (§III-C), exported to
-         BENCH_kernels.json
+     C11-C14  remarks, native execution, native profiling and guard
+         overhead; the native rows are exported to BENCH_kernels.json
 
    Micro-kernels are measured with Bechamel (OLS over the monotonic
    clock); whole-program runs with repeated wall-clock medians.  Results
    are summarised against the paper's claims in EXPERIMENTS.md.
 
-   [--smoke] runs only the C8 kernel group at tiny sizes plus a
-   spawn-per-region sanity check (seconds, no JSON output) — the target
-   `make check` invokes so the perf plumbing cannot bit-rot silently. *)
+   [--smoke] runs a spawn-per-region sanity check and a tiny C5 pool
+   region (seconds, no JSON output) — the target `make check` invokes so
+   the perf plumbing cannot bit-rot silently. *)
 
 open Bechamel
 open Toolkit
@@ -86,11 +86,9 @@ let c_full = Driver.compose [ Driver.matrix; Driver.transform; Driver.refptr ]
 let c_norc = Driver.compose [ Driver.matrix; Driver.transform ]
 
 let with_input cube f =
-  let dir = Filename.temp_file "mmbench" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Interp.Eval.provide_input ~dir "ssh.data" cube;
-  f dir
+  Driver.with_data_dir None (fun dir ->
+      Interp.Eval.provide_input ~dir "ssh.data" cube;
+      f dir)
 
 (* [pass] switches one pass of [c]'s default pipeline on or off. *)
 let run_prog ?pool ?pass ~c ~dir src =
@@ -416,135 +414,19 @@ let bench_composition () =
   instrumented "C7" (fun () ->
       ignore (Driver.compose Driver.all_extensions))
 
-(* --- C8: parallel cache-blocked kernels (§III-C) --------------------------------------------- *)
+(* --- BENCH_kernels.json: the native rows of C12-C14 ---------------------------------------- *)
 
 (* C12 rows (prog, interp_ms, native_ms, compile_ms); filled by
-   [bench_native] before the C8 group writes BENCH_kernels.json. *)
+   [bench_native] before [write_bench_kernels] runs. *)
 let native_rows : (string * float * float * float) list ref = ref []
 
 (* C13 rows (prog, plain_ms, instrumented_ms, overhead_pct); filled by
-   [bench_native_profile] before the C8 group writes BENCH_kernels.json. *)
+   [bench_native_profile] before [write_bench_kernels] runs. *)
 let native_profile_rows : (string * float * float * float) list ref = ref []
 
 (* C14 rows (prog, plain_ms, guards_ms, overhead_pct); filled by
-   [bench_native_guards] before the C8 group writes BENCH_kernels.json. *)
+   [bench_native_guards] before [write_bench_kernels] runs. *)
 let native_guards_rows : (string * float * float * float) list ref = ref []
-
-(* Seq naive vs seq blocked vs blocked-on-a-4-worker-pool, the speedup
-   table behind the ISSUE 2 acceptance bar (>= 2x at 512x512 with 4
-   workers vs the sequential baseline).  On a machine with fewer than 4
-   cores the win comes from the cache/register blocking itself; extra
-   cores stack their speedup on top. *)
-let bench_blocked_kernels ~smoke () =
-  Fmt.pr "@.=== C8: parallel cache-blocked kernels (§III-C) ===@.";
-  let sizes = if smoke then [ 16; 48 ] else [ 64; 128; 256; 512; 1024 ] in
-  let mk s =
-    ( Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((7 * ix.(0)) + (3 * ix.(1))) mod 97) /. 97.),
-      Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((5 * ix.(0)) + ix.(1)) mod 89) /. 89.) )
-  in
-  Fmt.pr "  matmul (float), block=%d:@." (Nd.get_block_size ());
-  Fmt.pr "  %6s %12s %13s %12s %9s %9s@." "size" "naive(ms)" "blocked(ms)"
-    "par4(ms)" "blk-spd" "par4-spd";
-  let matmul_rows =
-    List.map
-      (fun s ->
-        let a, b = mk s in
-        let reps = if s >= 1024 then 1 else 3 in
-        let naive = wall ~reps (fun () -> ignore (Nd.matmul_naive a b)) in
-        let blocked = wall ~reps (fun () -> ignore (Nd.matmul_blocked a b)) in
-        let par4 =
-          Runtime.Pool.with_pool 4 (fun pool ->
-              wall ~reps (fun () -> ignore (Nd.matmul ~pool a b)))
-        in
-        Fmt.pr "  %6d %12.2f %13.2f %12.2f %8.2fx %8.2fx@." s (naive *. 1000.)
-          (blocked *. 1000.) (par4 *. 1000.) (naive /. blocked)
-          (naive /. par4);
-        (s, naive, blocked, par4))
-      sizes
-  in
-  let elems = if smoke then 65_536 else 4_194_304 in
-  let v = Nd.init_float [| elems |] (fun ix -> float_of_int ix.(0) /. 7.) in
-  let w = Nd.init_float [| elems |] (fun ix -> float_of_int (ix.(0) mod 13)) in
-  let ew_seq =
-    wall (fun () -> ignore (Nd.arith Runtime.Scalar.Add v w))
-  in
-  let ew_par =
-    Runtime.Pool.with_pool 4 (fun pool ->
-        wall (fun () -> ignore (Nd.arith ~pool Runtime.Scalar.Add v w)))
-  in
-  let red_seq = wall (fun () -> ignore (Nd.sum_float v)) in
-  let red_par =
-    Runtime.Pool.with_pool 4 (fun pool ->
-        wall (fun () -> ignore (Nd.sum_float ~pool v)))
-  in
-  Fmt.pr "  elementwise add %d elems: seq %.2f ms, pool-4 %.2f ms (%.2fx)@."
-    elems (ew_seq *. 1000.) (ew_par *. 1000.) (ew_seq /. ew_par);
-  Fmt.pr "  sum reduction   %d elems: seq %.2f ms, pool-4 %.2f ms (%.2fx)@."
-    elems (red_seq *. 1000.) (red_par *. 1000.) (red_seq /. red_par);
-  if not smoke then begin
-    let oc = open_out "BENCH_kernels.json" in
-    Printf.fprintf oc
-      "{\"machine_cores\":%d,\"block\":%d,\"grain\":%d,\n \"matmul\":[" cores
-      (Nd.get_block_size ()) (Nd.get_par_grain ());
-    List.iteri
-      (fun i (s, naive, blocked, par4) ->
-        if i > 0 then output_string oc ",\n  ";
-        Printf.fprintf oc
-          "{\"size\":%d,\"naive_ms\":%.3f,\"blocked_ms\":%.3f,\"par4_ms\":%.3f,\"speedup_blocked\":%.2f,\"speedup_par4\":%.2f}"
-          s (naive *. 1000.) (blocked *. 1000.) (par4 *. 1000.)
-          (naive /. blocked) (naive /. par4))
-      matmul_rows;
-    Printf.fprintf oc
-      "],\n \"elementwise\":{\"elems\":%d,\"seq_ms\":%.3f,\"par4_ms\":%.3f,\"speedup\":%.2f},\n"
-      elems (ew_seq *. 1000.) (ew_par *. 1000.) (ew_seq /. ew_par);
-    Printf.fprintf oc
-      " \"reduce\":{\"elems\":%d,\"seq_ms\":%.3f,\"par4_ms\":%.3f,\"speedup\":%.2f}"
-      elems (red_seq *. 1000.) (red_par *. 1000.) (red_seq /. red_par);
-    (match List.rev !native_rows with
-    | [] -> ()
-    | rows ->
-        output_string oc ",\n \"native\":[";
-        List.iteri
-          (fun i (prog, interp_ms, native_ms, compile_ms) ->
-            if i > 0 then output_string oc ",\n  ";
-            Printf.fprintf oc
-              "{\"prog\":%S,\"interp_ms\":%.3f,\"native_ms\":%.3f,\"compile_ms\":%.3f,\"speedup\":%.2f}"
-              prog interp_ms native_ms compile_ms (interp_ms /. native_ms))
-          rows;
-        output_string oc "]");
-    (match List.rev !native_profile_rows with
-    | [] -> ()
-    | rows ->
-        output_string oc ",\n \"native_profile\":[";
-        List.iteri
-          (fun i (prog, plain_ms, instr_ms, overhead_pct) ->
-            if i > 0 then output_string oc ",\n  ";
-            Printf.fprintf oc
-              "{\"prog\":%S,\"plain_ms\":%.3f,\"instrumented_ms\":%.3f,\"overhead_pct\":%.2f}"
-              prog plain_ms instr_ms overhead_pct)
-          rows;
-        output_string oc "]");
-    (match List.rev !native_guards_rows with
-    | [] -> ()
-    | rows ->
-        output_string oc ",\n \"native_guards\":[";
-        List.iteri
-          (fun i (prog, plain_ms, guards_ms, overhead_pct) ->
-            if i > 0 then output_string oc ",\n  ";
-            Printf.fprintf oc
-              "{\"prog\":%S,\"plain_ms\":%.3f,\"guards_ms\":%.3f,\"overhead_pct\":%.2f}"
-              prog plain_ms guards_ms overhead_pct)
-          rows;
-        output_string oc "]");
-    output_string oc "}\n";
-    close_out oc;
-    Fmt.pr "  kernel numbers written to BENCH_kernels.json@."
-  end;
-  instrumented "C8" (fun () ->
-      let a, b = mk (if smoke then 48 else 256) in
-      Runtime.Pool.with_pool 4 (fun pool -> ignore (Nd.matmul ~pool a b)))
 
 (* --- C12: native execution vs the interpreter (§II) ------------------------------------------- *)
 
@@ -554,7 +436,7 @@ let bench_blocked_kernels ~smoke () =
    (`mmc exec`, binary cache warm so compilation is excluded), plus the
    one-time cost of the C compile itself.  Rows land in
    BENCH_kernels.json as {prog, interp_ms, native_ms, compile_ms} and are
-   regression-gated by `bench --compare` like every other kernel. *)
+   regression-gated by `bench --compare`. *)
 
 let native_progs =
   [
@@ -563,12 +445,6 @@ let native_progs =
   ]
 
 let native_cube () = cube ~m:48 ~n:64 ~p:32
-
-let fresh_cache_dir () =
-  let d = Filename.temp_file "mmbcache" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
 
 let exec_native ~cache_dir ~dir src =
   match Driver.exec ~dir ~cache_dir c_full src with
@@ -587,7 +463,7 @@ let bench_native () =
         (if tc.Native.Toolchain.openmp then " (OpenMP live)"
          else " (no OpenMP: sequential fallback)");
       let data = native_cube () in
-      let cache_dir = fresh_cache_dir () in
+      Driver.with_data_dir None @@ fun cache_dir ->
       Fmt.pr "  %-8s %12s %12s %13s %9s@." "prog" "interp(ms)" "native(ms)"
         "compile(ms)" "speedup";
       List.iter
@@ -672,7 +548,7 @@ let bench_native_profile () =
   | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
   | Ok _ ->
       let data = native_cube () in
-      let cache_dir = fresh_cache_dir () in
+      Driver.with_data_dir None @@ fun cache_dir ->
       Fmt.pr "  %-12s %10s %16s %9s %9s@." "prog" "plain(ms)"
         "instrumented(ms)" "overhead" "coverage";
       List.iter
@@ -754,7 +630,7 @@ let bench_native_guards () =
   | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
   | Ok _ ->
       let data = native_cube () in
-      let cache_dir = fresh_cache_dir () in
+      Driver.with_data_dir None @@ fun cache_dir ->
       Fmt.pr "  %-12s %10s %12s %9s@." "prog" "plain(ms)" "guards(ms)"
         "overhead";
       List.iter
@@ -787,6 +663,37 @@ let bench_native_guards () =
               ignore
                 (exec_native_guards ~cache_dir ~dir
                    Eddy.Programs.fig1_temporal_mean)))
+
+(* The rows C12-C14 collected, as the baseline `bench --compare` gates. *)
+let write_bench_kernels () =
+  (* rows are consed on as they are measured; rev_map restores the order *)
+  let section key fmt_row rows =
+    match List.rev_map fmt_row rows with
+    | [] -> ""
+    | rows -> Printf.sprintf ",\n \"%s\":[%s]" key (String.concat ",\n  " rows)
+  in
+  let oc = open_out "BENCH_kernels.json" in
+  Printf.fprintf oc "{\"machine_cores\":%d%s%s%s}\n" cores
+    (section "native"
+       (fun (prog, interp_ms, native_ms, compile_ms) ->
+         Printf.sprintf
+           "{\"prog\":%S,\"interp_ms\":%.3f,\"native_ms\":%.3f,\"compile_ms\":%.3f,\"speedup\":%.2f}"
+           prog interp_ms native_ms compile_ms (interp_ms /. native_ms))
+       !native_rows)
+    (section "native_profile"
+       (fun (prog, plain_ms, instr_ms, overhead_pct) ->
+         Printf.sprintf
+           "{\"prog\":%S,\"plain_ms\":%.3f,\"instrumented_ms\":%.3f,\"overhead_pct\":%.2f}"
+           prog plain_ms instr_ms overhead_pct)
+       !native_profile_rows)
+    (section "native_guards"
+       (fun (prog, plain_ms, guards_ms, overhead_pct) ->
+         Printf.sprintf
+           "{\"prog\":%S,\"plain_ms\":%.3f,\"guards_ms\":%.3f,\"overhead_pct\":%.2f}"
+           prog plain_ms guards_ms overhead_pct)
+       !native_guards_rows);
+  close_out oc;
+  Fmt.pr "@.native rows written to BENCH_kernels.json@."
 
 (* --- C11: optimization-remark counts over the paper corpus ------------------------------------ *)
 
@@ -853,23 +760,11 @@ let bench_remarks () =
 (* --- runtime micro-kernels (context for the groups above) ------------------------------------ *)
 
 let bench_kernels () =
-  let a =
-    Nd.init_float [| 256; 256 |] (fun ix -> float_of_int (ix.(0) + ix.(1)))
-  in
-  let b =
-    Nd.init_float [| 256; 256 |] (fun ix ->
-        float_of_int (ix.(0) * ix.(1) mod 97))
-  in
-  let sm = Nd.init_float [| 64; 64 |] (fun ix -> float_of_int ix.(0) +. 1.) in
   let buf = Array.init 4096 float_of_int in
   let out = Array.make 4096 0. in
   ignore
     (bechamel_group "runtime kernels"
        [
-         Test.make ~name:"ndarray elementwise add 256x256"
-           (Staged.stage (fun () -> ignore (Nd.arith Runtime.Scalar.Add a b)));
-         Test.make ~name:"ndarray matmul 64x64"
-           (Staged.stage (fun () -> ignore (Nd.matmul sm sm)));
          Test.make ~name:"simd add 4-lane over 4096 floats"
            (Staged.stage (fun () ->
                 let i = ref 0 in
@@ -889,14 +784,11 @@ let bench_kernels () =
 
 (* --- bench --compare: regression gate against a committed baseline ---------------- *)
 
-(* Re-measure the C8 kernels at the baseline's sizes (capped so the gate
-   runs in seconds, not minutes) and fail on >25% slowdown of any kernel
-   vs the committed BENCH_kernels.json.  Speed-ups and small noise pass;
-   the gate is for catching real regressions in the blocked matmul, the
-   pooled elementwise path or the pooled reduction. *)
+(* Re-measure the native rows of a BENCH_kernels.json baseline (warm
+   `mmc exec`, instrumented and guarded runs) and fail on >25% slowdown
+   of any of them.  Speed-ups and small noise pass; the gate is for
+   catching real regressions in the native path. *)
 let compare_threshold = 1.25
-let compare_size_cap = 256
-let compare_elems_cap = 1_048_576
 
 let bench_compare baseline_path =
   let module J = Support.Json in
@@ -922,71 +814,9 @@ let bench_compare baseline_path =
       baseline_ms current_ms ratio
       (if bad then "REGRESSION" else "ok")
   in
-  let mk s =
-    ( Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((7 * ix.(0)) + (3 * ix.(1))) mod 97) /. 97.),
-      Nd.init_float [| s; s |] (fun ix ->
-          float_of_int (((5 * ix.(0)) + ix.(1)) mod 89) /. 89.) )
-  in
-  (match Option.bind (J.field "matmul" baseline) J.arr with
-  | None -> Fmt.epr "  baseline has no \"matmul\" array — skipping@."
-  | Some rows ->
-      List.iter
-        (fun row ->
-          match J.num_field row "size" with
-          | Some size when int_of_float size <= compare_size_cap ->
-              let s = int_of_float size in
-              let a, b = mk s in
-              let measure label getter f =
-                match J.num_field row getter with
-                | None -> ()
-                | Some base_ms ->
-                    let cur = wall ~reps:5 f *. 1000. in
-                    check
-                      (Printf.sprintf "matmul %s %dx%d" label s s)
-                      ~baseline_ms:base_ms ~current_ms:cur
-              in
-              measure "naive" "naive_ms" (fun () ->
-                  ignore (Nd.matmul_naive a b));
-              measure "blocked" "blocked_ms" (fun () ->
-                  ignore (Nd.matmul_blocked a b));
-              (* pool lives across the reps — the baseline bench times the
-                 dispatch, not domain spawn/shutdown *)
-              Runtime.Pool.with_pool 4 (fun pool ->
-                  measure "par4" "par4_ms" (fun () ->
-                      ignore (Nd.matmul ~pool a b)))
-          | _ -> ())
-        rows);
-  let scaled_1d group label f =
-    (* 1-D kernels: the baseline ran at its recorded [elems]; re-measure
-       at min(baseline, cap) and scale the baseline linearly — these
-       kernels are O(n). *)
-    match J.field group baseline with
-    | None -> Fmt.epr "  baseline has no %S object — skipping@." group
-    | Some obj -> (
-        match (J.num_field obj "elems", J.num_field obj "seq_ms") with
-        | Some elems, Some seq_ms ->
-            let elems = int_of_float elems in
-            let n = min elems compare_elems_cap in
-            let scale = float_of_int n /. float_of_int elems in
-            let v =
-              Nd.init_float [| n |] (fun ix -> float_of_int ix.(0) /. 7.)
-            in
-            let w =
-              Nd.init_float [| n |] (fun ix -> float_of_int (ix.(0) mod 13))
-            in
-            let cur = wall ~reps:5 (fun () -> f v w) *. 1000. in
-            check
-              (Printf.sprintf "%s seq (%d elems)" label n)
-              ~baseline_ms:(seq_ms *. scale) ~current_ms:cur
-        | _ -> ())
-  in
-  scaled_1d "elementwise" "elementwise add" (fun v w ->
-      ignore (Nd.arith Runtime.Scalar.Add v w));
-  scaled_1d "reduce" "sum reduction" (fun v _ -> ignore (Nd.sum_float v));
   (* C12 rows: re-run each baselined program through the warm native path
-     and gate its wall time like any other kernel.  Without a C compiler
-     the rows are reported as skipped, never failed. *)
+     and gate its wall time.  Without a C compiler the rows are reported
+     as skipped, never failed. *)
   (match Option.bind (J.field "native" baseline) J.arr with
   | None -> ()
   | Some rows -> (
@@ -995,7 +825,7 @@ let bench_compare baseline_path =
           Fmt.epr "  baseline has native rows but %s — skipping@."
             (Native.Toolchain.describe_error e)
       | Ok _ ->
-          let cache_dir = fresh_cache_dir () in
+          Driver.with_data_dir None @@ fun cache_dir ->
           let data = native_cube () in
           List.iter
             (fun row ->
@@ -1023,7 +853,7 @@ let bench_compare baseline_path =
             rows));
   (* C13 rows: re-run each baselined program through the warm
      instrumented path (`mmc profile --native` machinery) and gate its
-     wall time like any other kernel; skipped without a C compiler. *)
+     wall time; skipped without a C compiler. *)
   (match Option.bind (J.field "native_profile" baseline) J.arr with
   | None -> ()
   | Some rows -> (
@@ -1032,7 +862,7 @@ let bench_compare baseline_path =
           Fmt.epr "  baseline has native_profile rows but %s — skipping@."
             (Native.Toolchain.describe_error e)
       | Ok _ ->
-          let cache_dir = fresh_cache_dir () in
+          Driver.with_data_dir None @@ fun cache_dir ->
           let data = native_cube () in
           let srcs = native_profile_progs () in
           List.iter
@@ -1075,7 +905,7 @@ let bench_compare baseline_path =
           Fmt.epr "  baseline has native_guards rows but %s — skipping@."
             (Native.Toolchain.describe_error e)
       | Ok _ ->
-          let cache_dir = fresh_cache_dir () in
+          Driver.with_data_dir None @@ fun cache_dir ->
           let data = native_cube () in
           let srcs = native_profile_progs () in
           List.iter
@@ -1108,11 +938,11 @@ let bench_compare baseline_path =
               | _ -> ())
             rows));
   if !failures > 0 then begin
-    Fmt.pr "@.%d kernel(s) regressed beyond %.0f%%.@." !failures
+    Fmt.pr "@.%d row(s) regressed beyond %.0f%%.@." !failures
       ((compare_threshold -. 1.) *. 100.);
     exit 1
   end
-  else Fmt.pr "@.no kernel regressed beyond %.0f%%.@."
+  else Fmt.pr "@.no row regressed beyond %.0f%%.@."
          ((compare_threshold -. 1.) *. 100.)
 
 (* --- bench --check-profile-json: schema validator for `mmc profile --json` -------- *)
@@ -1207,15 +1037,21 @@ let check_explain_json path =
       List.iter (fun p -> Fmt.epr "%s: %s@." path p) ps;
       exit 1
 
-(* Smoke mode: tiny-size kernel pass + one spawn-per-region sanity run
-   (keeps [Pool.naive_parallel_for], the C5 baseline, exercised). *)
+(* Smoke mode: one spawn-per-region run and one tiny pool region, the
+   two sides of C5 (keeps [Pool.naive_parallel_for], the C5 baseline,
+   exercised). *)
 let smoke_check () =
-  bench_blocked_kernels ~smoke:true ();
-  let sink = Array.make 1_000 0 in
-  Runtime.Pool.naive_parallel_for 2 0 1_000 (fun i -> sink.(i) <- i);
-  let ok = Array.for_all (fun x -> x >= 0) sink in
-  Fmt.pr "  spawn-per-region baseline smoke: %s@." (if ok then "ok" else "FAIL");
-  if not ok then exit 1;
+  let covers name run =
+    let sink = Array.make 1_000 (-1) in
+    run (fun i -> sink.(i) <- i);
+    let ok = Array.for_all (fun x -> x >= 0) sink in
+    Fmt.pr "  %s smoke: %s@." name (if ok then "ok" else "FAIL");
+    if not ok then exit 1
+  in
+  covers "spawn-per-region baseline" (Runtime.Pool.naive_parallel_for 2 0 1_000);
+  covers "C5 pool region" (fun body ->
+      Runtime.Pool.with_pool 2 (fun pool ->
+          Runtime.Pool.parallel_for pool 0 1_000 body));
   Fmt.pr "@.smoke ok.@."
 
 (* Value of a "--flag FILE" pair on the command line. *)
@@ -1259,7 +1095,7 @@ let () =
     bench_native ();
     bench_native_profile ();
     bench_native_guards ();
-    bench_blocked_kernels ~smoke:false ();
+    write_bench_kernels ();
     bench_remarks ();
     write_bench_telemetry ();
     Fmt.pr "@.done.@."

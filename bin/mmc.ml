@@ -327,19 +327,6 @@ let data_dir_arg =
        & info [ "data-dir" ] ~docv:"DIR"
            ~doc:"Directory where readMatrix/writeMatrix resolve paths.")
 
-let block_arg =
-  Arg.(value & opt (some int) None
-       & info [ "block" ] ~docv:"B"
-           ~doc:"Cache-block edge for the tiled matmul kernel (default \
-                 48, or \\$(b,MMC_BLOCK)).")
-
-let grain_arg =
-  Arg.(value & opt (some int) None
-       & info [ "grain" ] ~docv:"G"
-           ~doc:"Minimum elements before an elementwise/reduction kernel \
-                 dispatches to the pool (default 16384, or \
-                 \\$(b,MMC_GRAIN)).")
-
 (* --- robustness options (run / profile) ---------------------------------------- *)
 
 let failpoints_arg =
@@ -408,48 +395,15 @@ let with_robustness (specs, max_steps, max_bytes, timeout_s, fault_budget)
       Support.Failpoint.reset ())
     k
 
-let set_kernel_knobs block grain =
-  try
-    Option.iter Runtime.Ndarray.set_block_size block;
-    Option.iter Runtime.Ndarray.set_par_grain grain
-  with Invalid_argument _ ->
-    Fmt.epr "mmc: --block and --grain must be positive@.";
-    raise (Fatal 2)
-
-(* Run [k] in the program's data directory: --data-dir as given, or a
-   fresh temporary directory removed afterwards on every exit path —
-   recursively, since programs writeMatrix into it. *)
-let with_data_dir data_dir k =
-  match data_dir with
-  | Some d -> k d
-  | None ->
-      let d = Filename.temp_file "mmc_run" "" in
-      Sys.remove d;
-      Sys.mkdir d 0o755;
-      let rec remove path =
-        if Sys.is_directory path then begin
-          Array.iter
-            (fun f -> remove (Filename.concat path f))
-            (Sys.readdir path);
-          Sys.rmdir path
-        end
-        else Sys.remove path
-      in
-      Fun.protect
-        ~finally:(fun () -> try remove d with Sys_error _ -> ())
-        (fun () -> k d)
-
 let run_cmd =
-  let run exts_names threads data_dir block grain pipeline robust remarks tele
-      file =
+  let run exts_names threads data_dir pipeline robust remarks tele file =
     with_telemetry tele @@ fun () ->
-    set_kernel_knobs block grain;
     let c = compose_or_die (resolve_exts exts_names) in
     let config =
       resolve_config pipeline c ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" (threads > 1))
     in
-    with_data_dir data_dir @@ fun dir ->
+    Driver.with_data_dir data_dir @@ fun dir ->
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
@@ -474,9 +428,8 @@ let run_cmd =
   let doc = "Translate and execute on the parallel matrix runtime." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ exts_arg $ threads_arg $ data_dir_arg $ block_arg $ grain_arg
-      $ pipeline_term $ robustness_term $ remarks_arg $ telemetry_term
-      $ src_arg)
+      const run $ exts_arg $ threads_arg $ data_dir_arg $ pipeline_term
+      $ robustness_term $ remarks_arg $ telemetry_term $ src_arg)
 
 (* --- native toolchain options (exec / profile --native) ------------------------ *)
 
@@ -590,7 +543,7 @@ let exec_cmd =
                (not no_copy_elim))
             "auto-par" (threads > 1))
     in
-    with_data_dir data_dir @@ fun dir ->
+    Driver.with_data_dir data_dir @@ fun dir ->
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let line_file =
@@ -679,11 +632,9 @@ let profile_cmd =
                    span: per-loop native speedup, flagging spans whose \
                    gain lags the program-level ratio.")
   in
-  let run exts_names threads data_dir block grain pipeline robust json folded
-      top native diff_native (cc, cflags, keep_c, no_cache, cache_dir) remarks
-      tele file =
+  let run exts_names threads data_dir pipeline robust json folded top native
+      diff_native (cc, cflags, keep_c, no_cache, cache_dir) remarks tele file =
     with_telemetry tele @@ fun () ->
-    set_kernel_knobs block grain;
     let c = compose_or_die (resolve_exts exts_names) in
     (* The interpreted leg keeps its historical default (auto-par follows
        --threads); the native leg profiles the full pipeline. *)
@@ -695,7 +646,7 @@ let profile_cmd =
       resolve_config pipeline c ~tweaks:(fun cfg ->
           Driver.Pipeline.enable cfg "auto-par" true)
     in
-    with_data_dir data_dir @@ fun dir ->
+    Driver.with_data_dir data_dir @@ fun dir ->
     let src = read_source file in
     with_remarks remarks ~src @@ fun () ->
     let warn d = Fmt.epr "%s@." (Driver.diags_to_string ~src [ d ]) in
@@ -781,10 +732,9 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ exts_arg $ threads_arg $ data_dir_arg $ block_arg $ grain_arg
-      $ pipeline_term $ robustness_term $ json $ folded $ top $ native
-      $ diff_native $ native_opts_term $ remarks_arg $ telemetry_term
-      $ src_arg)
+      const run $ exts_arg $ threads_arg $ data_dir_arg $ pipeline_term
+      $ robustness_term $ json $ folded $ top $ native $ diff_native
+      $ native_opts_term $ remarks_arg $ telemetry_term $ src_arg)
 
 (* --- explain ------------------------------------------------------------------- *)
 

@@ -339,9 +339,32 @@ let runtime_failure_diag exn =
       d (Printf.sprintf "reference count of matrix cell #%d went negative" id)
   | _ -> None
 
+(** [with_data_dir dir k] — run [k] in the program's data directory:
+    [dir] as given, or a fresh temporary directory removed afterwards on
+    every exit path — recursively, since programs writeMatrix into it. *)
+let with_data_dir dir k =
+  match dir with
+  | Some d -> k d
+  | None ->
+      let d = Filename.temp_file "mmcfs" "" in
+      Sys.remove d;
+      Sys.mkdir d 0o755;
+      let rec remove path =
+        if Sys.is_directory path then begin
+          Array.iter
+            (fun f -> remove (Filename.concat path f))
+            (Sys.readdir path);
+          Sys.rmdir path
+        end
+        else Sys.remove path
+      in
+      Fun.protect
+        ~finally:(fun () -> try remove d with Sys_error _ -> ())
+        (fun () -> k d)
+
 (** [run c src args] — compile and execute on the parallel runtime.
     [pool] supplies the enhanced fork-join worker pool; [dir] hosts the
-    program's matrix files. *)
+    program's matrix files (a temporary directory when absent). *)
 let run ?config ?warn ?pool ?dir (c : composed) (src : string)
     (args : Interp.Eval.value list) : Interp.Eval.value outcome =
   Option.iter
@@ -356,7 +379,8 @@ let run ?config ?warn ?pool ?dir (c : composed) (src : string)
       | Ok_ prog -> (
           match
             Tel.with_span ~phase:"run" "driver.run" (fun () ->
-                Interp.Eval.run ?pool ?dir prog args)
+                with_data_dir dir (fun dir ->
+                    Interp.Eval.run ?pool ~dir prog args))
           with
           | v ->
               (* Memory gauges: what the program's RC discipline left
@@ -435,15 +459,7 @@ let exec ?config ?warn ?dir ?cc ?(cflags = []) ?keep_c
   with
   | Failed d -> Failed d
   | Ok_ c_text -> (
-      let dir =
-        match dir with
-        | Some d -> d
-        | None ->
-            let d = Filename.temp_file "mmcfs" "" in
-            Sys.remove d;
-            Sys.mkdir d 0o755;
-            d
-      in
+      with_data_dir dir @@ fun dir ->
       let attempt ?failpoints ~cache ~threads () =
         Tel.with_span ~phase:"run" "driver.exec" (fun () ->
             Native.Exec.run ?cc ~cflags ~cache ?cache_dir ?keep_c ?instrument
@@ -932,7 +948,7 @@ let profile ?config ?warn ?pool ?dir
       in
       match
         Tel.with_span ~phase:"run" "driver.profile_run" (fun () ->
-            Interp.Eval.run ?pool ?dir prog args)
+            with_data_dir dir (fun dir -> Interp.Eval.run ?pool ~dir prog args))
       with
       | v ->
           Support.Failpoint.export_gauges ();

@@ -364,12 +364,11 @@ and exec (ctx : ctx) (env : env) (s : stmt) : unit =
                    that died to a recoverable fault.  The [locate_opt]
                    wrapper sits outside the dispatch, so whatever the
                    barrier re-raises gains this loop's provenance. *)
-                Runtime.Pool.parallel_for ~chunking:Runtime.Pool.Guided pool 0
-                  bound (fun i ->
-                    Runtime.Limits.tick ();
-                    let inner = new_env ~parent:env () in
-                    declare inner l.index (VScal (S.I i));
-                    exec_block ctx inner l.body))
+                Runtime.Pool.parallel_for pool 0 bound (fun i ->
+                  Runtime.Limits.tick ();
+                  let inner = new_env ~parent:env () in
+                  declare inner l.index (VScal (S.I i));
+                  exec_block ctx inner l.body))
       in
       if
         Support.Profile.is_enabled ()
@@ -492,19 +491,9 @@ and call ctx (f : func) (args : value list) : value =
       (try sync env with _ -> ());
       raise exn
 
-(** [run ?pool ?dir prog args] — call the program's entry function.
-    [dir] hosts the program's matrix files (virtual filesystem);
-    defaults to a fresh temp directory. *)
-let run ?pool ?dir (prog : program) (args : value list) : value =
-  let dir =
-    match dir with
-    | Some d -> d
-    | None ->
-        let d = Filename.temp_file "mmcfs" "" in
-        Sys.remove d;
-        Sys.mkdir d 0o755;
-        d
-  in
+(** [run ?pool ~dir prog args] — call the program's entry function.
+    [dir] hosts the program's matrix files (virtual filesystem). *)
+let run ?pool ~dir (prog : program) (args : value list) : value =
   let ctx = { prog; pool; fs = Hashtbl.create 8; dir } in
   (* An aborted run never executes its scope-exit RcDec statements, so its
      allocations would sit in the live registry forever (a phantom leak

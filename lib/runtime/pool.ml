@@ -23,9 +23,8 @@
     A worker exception does not poison the pool.  Raw {!run} collects
     {e every} thread's exception (not just the first): the first is
     re-raised at the stop barrier with its original backtrace, the rest
-    are counted ([pool.suppressed_exns]).  The chunked entry points
-    ({!parallel_for_ranges}, {!parallel_for}, {!parallel_fold}) go
-    further: a chunk that raises a recoverable exception is {e recorded}
+    are counted ([pool.suppressed_exns]).  The chunked entry point
+    {!parallel_for} goes further: a chunk that raises a recoverable exception is {e recorded}
     — its range, exception and backtrace — while surviving workers
     finish their own chunks; the dispatcher then re-executes the failed
     ranges inline on the calling thread (a transient fault, e.g. an
@@ -51,9 +50,9 @@ type t = {
   done_count : int Atomic.t;
   shutdown : bool Atomic.t;
   in_region : bool Atomic.t;
-      (** a region is currently executing; a nested [run] (e.g. a kernel
-          dispatching from inside a worker's share) executes inline on the
-          calling thread instead of corrupting the single job slot *)
+      (** a region is currently executing; a nested [run] (a parallel
+          loop dispatched from inside a worker's share) executes inline on
+          the calling thread instead of corrupting the single job slot *)
   failures : (exn * Printexc.raw_backtrace) list Atomic.t;
       (** every exception raised by a thread's share of the current job
           (newest first), each with the raising thread's backtrace; the
@@ -246,8 +245,7 @@ let note_fault pool =
     parked again, so the pool stays usable).
 
     Re-entrant: a [run] issued while a region is already executing (a
-    nested parallel op from inside a worker's share, or a kernel called
-    from a [ParFor] body) executes its function inline as [f 0 1] — the
+    nested [ParFor] inside a worker's share) executes its function inline as [f 0 1] — the
     outer region already owns all the threads, so nesting degenerates to
     sequential execution instead of deadlocking on the single job slot. *)
 let run pool (fn : int -> int -> unit) =
@@ -293,32 +291,28 @@ let run pool (fn : int -> int -> unit) =
             Support.Telemetry.add c_suppressed (List.length rest);
             Printexc.raise_with_backtrace e bt)
 
-(** How a [lo, hi) iteration space is carved into chunks (§III-C):
-    - [Static]: one contiguous chunk per thread, the schedule the
-      with-loop generator semantics guarantee disjointness for (§III-A4).
-      Zero coordination; best when iterations cost the same.
-    - [Guided]: threads grab shrinking chunks ([remaining / 2n], floored
-      at the grain) from a shared counter; costs one CAS per chunk but
-      load-balances irregular iteration bodies (matrixMap over slices of
-      varying work, conncomp frames with different eddy counts). *)
-type chunking = Static | Guided
-
-(** [parallel_for_ranges ?chunking ?grain pool lo hi f] — partition
-    [lo, hi) into chunks and call [f chunk_lo chunk_hi] for each, in
-    parallel.  Ranges of at most [grain] indices (default 1, i.e. empty or
-    singleton ranges) run inline on the calling thread without waking the
-    pool — the grain-size heuristic that keeps small kernels cheap. *)
-let parallel_for_ranges ?(chunking = Static) ?(grain = 1) pool lo hi f =
+(** [parallel_for pool lo hi f] — apply [f] to every index in [lo, hi)
+    in parallel, scheduled as guided chunks (§III-C): threads grab
+    shrinking chunks ([remaining / 2n], at least one index) from a shared
+    counter.  That costs one CAS per chunk but load-balances irregular
+    iteration bodies (matrixMap over slices of varying work, conncomp
+    frames with different eddy counts).  A range of at most one index
+    runs inline on the calling thread without waking the pool. *)
+let parallel_for pool lo hi f =
+  let run_range clo chi =
+    for i = clo to chi - 1 do
+      f i
+    done
+  in
   let total = hi - lo in
-  let grain = max 1 grain in
   if total <= 0 then ()
-  else if total <= grain || Atomic.get pool.degraded then begin
-    (* inline: small ranges never wake the pool; degraded pools run
+  else if total = 1 || Atomic.get pool.degraded then begin
+    (* inline: a single index never wakes the pool; degraded pools run
        everything sequentially (one whole-range chunk, exact sequential
        exception semantics — no containment). *)
     Support.Telemetry.bump c_chunks;
     Limits.check ();
-    f lo hi
+    run_range lo hi
   end
   else begin
     (* Containment: a chunk that raises a recoverable exception records
@@ -331,31 +325,23 @@ let parallel_for_ranges ?(chunking = Static) ?(grain = 1) pool lo hi f =
       Limits.check ();
       try
         Support.Failpoint.hit fp_worker_body;
-        f clo chi
+        run_range clo chi
       with e when recoverable e ->
         let bt = Printexc.get_raw_backtrace () in
         Support.Telemetry.bump c_chunk_faults;
         push_atomic failed (clo, chi, e, bt)
     in
-    (match chunking with
-    | Static ->
-        run pool (fun t n ->
-            let chunk = (total + n - 1) / n in
-            let start = lo + (t * chunk) in
-            let stop = min hi (start + chunk) in
-            if start < stop then exec_chunk start stop)
-    | Guided ->
-        let next = Atomic.make lo in
-        run pool (fun _ n ->
-            let continue = ref true in
-            while !continue do
-              let cur = Atomic.get next in
-              if cur >= hi then continue := false
-              else
-                let size = min (hi - cur) (max grain ((hi - cur) / (2 * n))) in
-                if Atomic.compare_and_set next cur (cur + size) then
-                  exec_chunk cur (cur + size)
-            done));
+    let next = Atomic.make lo in
+    run pool (fun _ n ->
+        let continue = ref true in
+        while !continue do
+          let cur = Atomic.get next in
+          if cur >= hi then continue := false
+          else
+            let size = max 1 ((hi - cur) / (2 * n)) in
+            if Atomic.compare_and_set next cur (cur + size) then
+              exec_chunk cur (cur + size)
+        done);
     (* Re-execute failed ranges inline, in arrival order: chunk bodies
        write disjoint elements (§III-A4), so re-running a partially
        executed chunk is idempotent.  A fault that persists (the retry
@@ -366,74 +352,8 @@ let parallel_for_ranges ?(chunking = Static) ?(grain = 1) pool lo hi f =
         note_fault pool;
         Support.Telemetry.bump c_retries;
         Limits.check ();
-        f clo chi)
+        run_range clo chi)
       (List.rev (Atomic.exchange failed []))
-  end
-
-(** [parallel_for pool lo hi f] — apply [f] to every index in [lo, hi),
-    scheduled in chunks (see {!parallel_for_ranges}). *)
-let parallel_for ?chunking ?grain pool lo hi f =
-  parallel_for_ranges ?chunking ?grain pool lo hi (fun clo chi ->
-      for i = clo to chi - 1 do
-        f i
-      done)
-
-(** [parallel_fold pool lo hi ~init ~body ~combine] — per-thread partial
-    folds combined sequentially by the main thread (how the generated code
-    parallelises fold with-loops).  Ranges of at most [grain] indices fold
-    inline without waking the pool. *)
-let parallel_fold ?(grain = 1) pool lo hi ~init ~body ~combine =
-  let total = hi - lo in
-  let grain = max 1 grain in
-  let inline () =
-    let acc = ref init in
-    for i = lo to hi - 1 do
-      acc := body !acc i
-    done;
-    !acc
-  in
-  if total <= 0 then init
-  else if total <= grain then inline ()
-  else if Atomic.get pool.degraded then begin
-    Limits.check ();
-    inline ()
-  end
-  else begin
-    let n = threads pool in
-    let partials = Array.make n init in
-    let failed = Atomic.make [] in
-    run pool (fun t n ->
-        let chunk = (total + n - 1) / n in
-        let start = lo + (t * chunk) in
-        let stop = min hi (start + chunk) in
-        let fold_range () =
-          let acc = ref init in
-          for i = start to stop - 1 do
-            acc := body !acc i
-          done;
-          partials.(t) <- !acc
-        in
-        Limits.check ();
-        try
-          Support.Failpoint.hit fp_worker_body;
-          fold_range ()
-        with e when recoverable e ->
-          Support.Telemetry.bump c_chunk_faults;
-          push_atomic failed (t, start, stop, e));
-    (* A failed share's partial is garbage; recompute the whole share
-       inline (folds are pure in the accumulator, so this is exact). *)
-    List.iter
-      (fun (t, start, stop, _) ->
-        note_fault pool;
-        Support.Telemetry.bump c_retries;
-        Limits.check ();
-        let acc = ref init in
-        for i = start to stop - 1 do
-          acc := body !acc i
-        done;
-        partials.(t) <- !acc)
-      (List.rev (Atomic.exchange failed []));
-    Array.fold_left combine init partials
   end
 
 (** Park the workers permanently and join their domains. *)

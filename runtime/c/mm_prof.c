@@ -40,6 +40,8 @@ typedef struct {
   long long est_total;
   long long est_self;
   long long frozen_self; /* self ns accumulated while frozen */
+  long long settled;     /* skipped executions already moved (close_top) */
+  long long moved_ns;    /* self ns those moves took from their parent */
   long long worker_ns[MM_PROF_MAX_WORKERS];
 } mm_prof_row;
 
@@ -203,6 +205,19 @@ static void mm_prof_record_fold(long long self) {
                     self);
 }
 
+/* Move up to [want] ns of self time from row [from] (whose self absorbed
+ * a skipped span's executions) to row [to]'s pending extrapolation.
+ * Capping at what [from] holds keeps the attributed total conserved when
+ * the frozen average overestimates the skipped executions. */
+static void mm_prof_move_self(mm_prof_row *from, mm_prof_row *to,
+                              long long want) {
+  long long moved = want < from->self_ns ? want : from->self_ns;
+  if (moved <= 0) return;
+  from->self_ns -= moved;
+  from->seq_ns = from->seq_ns > moved ? from->seq_ns - moved : 0;
+  to->moved_ns += moved;
+}
+
 /* Close the top frame, charging self = total - child to its row and the
  * total to the parent's child time. */
 static void mm_prof_close_top(long long iters, int dispatches, int par) {
@@ -225,11 +240,24 @@ static void mm_prof_close_top(long long iters, int dispatches, int par) {
     r->seq_ns += self;
   if (r->entries >= mm_prof_freeze_after && !r->frozen) {
     r->frozen = 1;
+    r->parent = mm_prof_depth > 0 ? mm_prof_stack[mm_prof_depth - 1].id : -1;
+    /* Children that froze under this span ran their skipped executions
+     * inside its frames, so that time sits in this row's self: move it
+     * out before taking the averages, and hand the children to this
+     * span's parent, where their time lands once this span is skipped
+     * too. */
+    for (int c = 0; mm_prof_sentries && c < mm_prof_nspans; c++) {
+      mm_prof_row *cr = &mm_prof_rows[c];
+      if (c == f.id || !cr->frozen || cr->parent != f.id) continue;
+      mm_prof_move_self(r, cr,
+                        cr->est_self * (mm_prof_sentries[c] - cr->settled));
+      cr->settled = mm_prof_sentries[c];
+      cr->parent = r->parent;
+    }
     r->est_total = r->total_ns / r->entries;
     r->est_self = r->self_ns / r->entries;
     /* the fold entry this close just touched IS the span's hot path */
     r->fold_e = (self > 0) ? mm_prof_fold_last : -1;
-    r->parent = mm_prof_depth > 0 ? mm_prof_stack[mm_prof_depth - 1].id : -1;
     if (mm_prof_skip) mm_prof_skip[f.id] = 1;
   }
 }
@@ -350,29 +378,27 @@ void mm_prof_stop(void) {
   mm_prof_live = 0;
   mm_prof_region = -1;
   while (mm_prof_depth > 0) mm_prof_close_top(0, 0, 0);
-  /* Executions the emitted guards skipped entirely: extrapolate from
-   * the frozen per-close averages, and re-credit the freeze-time parent
-   * whose self time silently absorbed the skipped children's wall
-   * clock. */
+  /* Executions the emitted guards skipped entirely: their wall clock
+   * sits in the self time of the parent open at freeze time.  Move the
+   * frozen per-close self average per execution from there to the span
+   * (only self: timed children were credited as children, and skipped
+   * children move their own), so attributed time is conserved.  With no
+   * parent the time was unattributed and is extrapolated outright. */
   for (int i = 0; i < mm_prof_nspans; i++) {
     mm_prof_row *r = &mm_prof_rows[i];
     long long k = mm_prof_sentries ? mm_prof_sentries[i] : 0;
     if (k <= 0) continue;
-    long long extra_total = r->est_total * k;
-    long long extra_self = r->est_self * k;
+    long long rest = r->est_self * (k - r->settled);
+    if (r->parent >= 0 && r->parent < mm_prof_nspans)
+      mm_prof_move_self(&mm_prof_rows[r->parent], r, rest);
+    else
+      r->moved_ns += rest;
     r->entries += k;
     r->iters += mm_prof_siters[i];
-    r->total_ns += extra_total;
-    r->self_ns += extra_self;
-    r->seq_ns += extra_self;
-    r->frozen_self += extra_self;
-    if (r->parent >= 0 && r->parent < mm_prof_nspans) {
-      mm_prof_row *pr = &mm_prof_rows[r->parent];
-      pr->self_ns -= extra_total;
-      if (pr->self_ns < 0) pr->self_ns = 0;
-      pr->seq_ns -= extra_total;
-      if (pr->seq_ns < 0) pr->seq_ns = 0;
-    }
+    r->total_ns += r->est_total * k;
+    r->self_ns += r->moved_ns;
+    r->seq_ns += r->moved_ns;
+    r->frozen_self += r->moved_ns;
     mm_prof_sentries[i] = 0;
     mm_prof_siters[i] = 0;
   }

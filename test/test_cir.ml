@@ -70,7 +70,10 @@ let oracle_mean c =
       !acc /. float_of_int sh.(2))
 
 let run_mean ?pool prog c =
-  match E.run ?pool prog [ E.VMat (Runtime.Rc.alloc c) ] with
+  match
+    Driver.with_data_dir None (fun dir ->
+        E.run ?pool ~dir prog [ E.VMat (Runtime.Rc.alloc c) ])
+  with
   | E.VMat rc -> Runtime.Rc.get rc
   | v -> Alcotest.failf "unexpected result %a" E.pp_value v
 

@@ -153,8 +153,9 @@ let test_tiling_example () =
     (example "transform_tiling.mc")
 
 (* The acceptance program, under every optimization-flag configuration:
-   default, --no-fuse, --no-copy-elim, and auto-parallelized with real
-   OpenMP threads. *)
+   default, --no-fuse, --no-copy-elim, and auto-parallelized with 2 and 4
+   real OpenMP threads whatever the core count, so a race in the native
+   runtime's refcounts shows up as a live-count mismatch on any machine. *)
 let test_eddy_flag_matrix () =
   let src = example "eddy_energy.mc" in
   List.iter
@@ -167,6 +168,7 @@ let test_eddy_flag_matrix () =
       (false, true, false, 1, "no-fuse");
       (true, false, false, 1, "no-copy-elim");
       (true, true, true, 2, "auto-par");
+      (true, true, true, 4, "auto-par/4");
     ]
 
 (* The copy-elim verdict's cases (see test_pipeline.ml): natively, too,
@@ -189,6 +191,28 @@ let test_inplace_slice_reads () =
       | Driver.Failed ds ->
           Alcotest.failf "%s: native failed: %s" name (Driver.diags_to_string ds))
     Test_pipeline.slice_read_cases
+
+(* [Driver.exec] without [~dir] runs in a temporary data directory and
+   removes it afterwards: with the temp root pointed at a fresh directory,
+   nothing is left behind. *)
+let test_exec_leaves_no_temp_dir () =
+  ignore (ensure_cc ());
+  let cache_dir = Lazy.force suite_cache in
+  let src = example "eddy_energy.mc" in
+  let tmp = fresh_dir () in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      (fun () -> Driver.exec ~cache_dir full src)
+  in
+  (match result with
+  | Driver.Ok_ _ -> ()
+  | Driver.Failed ds ->
+      Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds));
+  Alcotest.(check (array string)) "temp root left empty" [||] (Sys.readdir tmp);
+  Sys.rmdir tmp
 
 (* --- result-protocol shapes --------------------------------------------- *)
 
@@ -494,4 +518,6 @@ let suite =
       test_keep_c_standalone_recompile;
     Alcotest.test_case "corpus emits -Werror-clean C" `Quick
       test_corpus_compiles_werror;
+    Alcotest.test_case "exec without a data dir leaves no temp dir" `Quick
+      test_exec_leaves_no_temp_dir;
   ]

@@ -188,7 +188,7 @@ int main() {
 |}
     (S.I ((21 * 1000) + 51))
 
-let test_mask_fill_assignment () =
+let test_mask_fill () =
   run_scalar
     {|
 int main() {
@@ -360,7 +360,7 @@ let suite =
     Alcotest.test_case "matmul chain" `Quick test_matmul_chain;
     Alcotest.test_case "range arithmetic (Fig 8 Line)" `Quick
       test_range_expression_arithmetic;
-    Alcotest.test_case "mask fill assignment" `Quick test_mask_fill_assignment;
+    Alcotest.test_case "mask fill assignment" `Quick test_mask_fill;
     Alcotest.test_case "whole-matrix scalar fill" `Quick
       test_whole_matrix_scalar_fill;
     Alcotest.test_case "gather read + range write" `Quick
