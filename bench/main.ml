@@ -14,71 +14,77 @@
      C11-C14  remarks, native execution, native profiling and guard
          overhead; the native rows are exported to BENCH_kernels.json
 
-   Micro-kernels are measured with Bechamel (OLS over the monotonic
-   clock); whole-program runs with repeated wall-clock medians.  Results
-   are summarised against the paper's claims in EXPERIMENTS.md.
+   Every timing goes through [measure]: one warmup call, then repeated
+   timed calls summarised as median and quartiles, printed as
+   `median [q1-q3]`.  Every A/B comparison goes through [verdict], which
+   reads "within noise" when the medians differ by no more than the wider
+   of the two interquartile ranges, and the ratio of medians otherwise.
+   Results are summarised against the paper's claims in EXPERIMENTS.md.
 
-   [--smoke] runs a spawn-per-region sanity check and a tiny C5 pool
-   region (seconds, no JSON output) — the target `make check` invokes so
-   the perf plumbing cannot bit-rot silently. *)
+   [--smoke] runs a spawn-per-region sanity check, a tiny C5 pool region
+   and [measure]/[verdict] on both (seconds, no JSON output) — the target
+   `make check` invokes so the perf plumbing cannot bit-rot silently. *)
 
-open Bechamel
-open Toolkit
 module Nd = Runtime.Ndarray
 
 let cores = Domain.recommended_domain_count ()
 
-(* --- measurement helpers ----------------------------------------------------- *)
+(* --- measurement ------------------------------------------------------------- *)
 
-let bechamel_group name (tests : Test.t list) =
-  Fmt.pr "@.--- %s (Bechamel OLS, monotonic clock) ---@." name;
-  let grouped = Test.make_grouped ~name tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+(* Seconds per call. *)
+type stat = { med : float; q1 : float; q3 : float }
+
+(* [measure ?reps ?batch f] — one warmup call of [f], then [reps] timed
+   samples of [batch] calls each, reported per call.  [batch] lifts
+   ns-scale micro-tests above the clock's resolution. *)
+let measure ?(reps = 5) ?(batch = 1) f =
+  f ();
+  let samples =
+    Array.init reps (fun _ ->
+        let t0 = Support.Telemetry.now_ns () in
+        for _ = 1 to batch do
+          f ()
+        done;
+        float_of_int (Support.Telemetry.now_ns () - t0)
+        /. 1e9 /. float_of_int batch)
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun k v acc ->
-        let est =
-          match Analyze.OLS.estimates v with Some [ e ] -> e | _ -> nan
-        in
-        (k, est) :: acc)
-      results []
-    |> List.sort compare
+  Array.sort compare samples;
+  (* linear interpolation between the closest ranks *)
+  let q p =
+    let x = p *. float_of_int (reps - 1) in
+    let i = int_of_float x in
+    let j = min (i + 1) (reps - 1) in
+    samples.(i) +. ((x -. float_of_int i) *. (samples.(j) -. samples.(i)))
   in
+  { med = q 0.5; q1 = q 0.25; q3 = q 0.75 }
+
+let iqr s = s.q3 -. s.q1
+
+(* A/B verdict: ratio of medians a/b, unless the medians are closer than
+   the wider of the two interquartile ranges. *)
+let verdict a b =
+  if Float.abs (a.med -. b.med) <= Float.max (iqr a) (iqr b) then
+    "within noise"
+  else Printf.sprintf "%.2fx" (a.med /. b.med)
+
+let pp_scaled scale dec s =
+  Printf.sprintf "%.*f [%.*f-%.*f]" dec (s.med *. scale) dec (s.q1 *. scale)
+    dec (s.q3 *. scale)
+
+let ms = pp_scaled 1000. 2
+
+let per_call s =
+  if s.med >= 1e-3 then pp_scaled 1e3 3 s ^ " ms"
+  else if s.med >= 1e-6 then pp_scaled 1e6 3 s ^ " us"
+  else pp_scaled 1e9 1 s ^ " ns"
+
+(* ns-scale micro-tests: (name, calls per timed sample, body). *)
+let micro title tests =
+  Fmt.pr "@.--- %s (median [q1-q3] per call) ---@." title;
   List.iter
-    (fun (k, ns) ->
-      if ns >= 1e6 then Fmt.pr "  %-48s %10.3f ms/run@." k (ns /. 1e6)
-      else if ns >= 1e3 then Fmt.pr "  %-48s %10.3f us/run@." k (ns /. 1e3)
-      else Fmt.pr "  %-48s %10.1f ns/run@." k ns)
-    rows;
-  rows
-
-(* median wall-clock of [reps] runs *)
-let wall ?(reps = 3) f =
-  let times =
-    List.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-    |> List.sort compare
-  in
-  List.nth times (reps / 2)
-
-(* Minimum wall-clock of [reps] runs: the right statistic when two
-   variants of the same computation are compared for a small additive
-   cost (C13) — the min is the least-noise floor of each, where the
-   median still carries scheduler jitter several times the effect. *)
-let wall_min ?(reps = 5) f =
-  List.init reps (fun _ ->
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0)
-  |> List.fold_left min infinity
+    (fun (name, batch, f) ->
+      Fmt.pr "  %-40s %s@." name (per_call (measure ~batch f)))
+    tests
 
 (* --- shared setup ---------------------------------------------------------------- *)
 
@@ -90,6 +96,12 @@ let with_input cube f =
       Interp.Eval.provide_input ~dir "ssh.data" cube;
       f dir)
 
+let or_die what = function
+  | Driver.Ok_ x -> x
+  | Driver.Failed ds ->
+      Fmt.epr "%s failed: %s@." what (Driver.diags_to_string ds);
+      exit 1
+
 (* [pass] switches one pass of [c]'s default pipeline on or off. *)
 let run_prog ?pool ?pass ~c ~dir src =
   let config =
@@ -97,11 +109,7 @@ let run_prog ?pool ?pass ~c ~dir src =
     | Some (name, on) -> Driver.Pipeline.enable (Driver.default_config c) name on
     | None -> Driver.default_config c
   in
-  match Driver.run ~dir ?pool ~config c src [] with
-  | Driver.Ok_ _ -> ()
-  | Driver.Failed ds ->
-      Fmt.epr "bench program failed: %s@." (Driver.diags_to_string ds);
-      exit 1
+  ignore (or_die "bench program" (Driver.run ~dir ?pool ~config c src []))
 
 let cube ~m ~n ~p =
   Nd.init_float [| m; n; p |] (fun ix ->
@@ -156,27 +164,20 @@ let bench_scaling () =
           the core count; the paper used 2 x 6-core)@."
     cores;
   let data = cube ~m:48 ~n:48 ~p:24 in
-  let threads = [ 1; 2; 4; 8 ] in
-  let base = ref 0. in
-  Fmt.pr "  %8s %12s %9s@." "threads" "wall (ms)" "speedup";
+  let time ?pool () =
+    with_input data (fun dir ->
+        measure (fun () ->
+            run_prog ~c:c_full ~dir ?pool ~pass:("auto-par", true)
+              Eddy.Programs.fig1_temporal_mean))
+  in
+  let base = time () in
+  Fmt.pr "  %8s %24s %14s@." "threads" "wall (ms)" "speedup";
+  Fmt.pr "  %8d %24s %14s@." 1 (ms base) "-";
   List.iter
     (fun t ->
-      let secs =
-        if t = 1 then
-          with_input data (fun dir ->
-              wall (fun () ->
-                  run_prog ~c:c_full ~dir ~pass:("auto-par", true)
-                    Eddy.Programs.fig1_temporal_mean))
-        else
-          Runtime.Pool.with_pool t (fun pool ->
-              with_input data (fun dir ->
-                  wall (fun () ->
-                      run_prog ~c:c_full ~dir ~pool ~pass:("auto-par", true)
-                        Eddy.Programs.fig1_temporal_mean)))
-      in
-      if t = 1 then base := secs;
-      Fmt.pr "  %8d %12.1f %9.2fx@." t (secs *. 1000.) (!base /. secs))
-    threads;
+      let s = Runtime.Pool.with_pool t (fun pool -> time ~pool ()) in
+      Fmt.pr "  %8d %24s %14s@." t (ms s) (verdict base s))
+    [ 2; 4; 8 ];
   instrumented "C1" (fun () ->
       Runtime.Pool.with_pool 2 (fun pool ->
           with_input data (fun dir ->
@@ -187,24 +188,20 @@ let bench_scaling () =
 
 let bench_fusion () =
   Fmt.pr "@.=== C2: with-loop/assignment fusion (§III-A5) ===@.";
-  Fmt.pr "  %-14s %12s %12s %8s@." "size" "fused(ms)" "library(ms)" "ratio";
+  Fmt.pr "  %-14s %24s %24s %14s@." "size" "fused(ms)" "library(ms)"
+    "library/fused";
   List.iter
     (fun (m, n, p) ->
-      let data = cube ~m ~n ~p in
-      let fused =
-        with_input data (fun dir ->
-            wall (fun () ->
-                run_prog ~c:c_full ~dir ~pass:("fuse", true)
+      let time fuse =
+        with_input (cube ~m ~n ~p) (fun dir ->
+            measure (fun () ->
+                run_prog ~c:c_full ~dir ~pass:("fuse", fuse)
                   Eddy.Programs.fig1_temporal_mean))
       in
-      let library =
-        with_input data (fun dir ->
-            wall (fun () ->
-                run_prog ~c:c_full ~dir ~pass:("fuse", false)
-                  Eddy.Programs.fig1_temporal_mean))
-      in
-      Fmt.pr "  %4dx%4dx%3d %12.1f %12.1f %8.2fx@." m n p (fused *. 1000.)
-        (library *. 1000.) (library /. fused))
+      let fused = time true in
+      let library = time false in
+      Fmt.pr "  %4dx%4dx%3d %24s %24s %14s@." m n p (ms fused) (ms library)
+        (verdict library fused))
     (* small p makes the library's result copy large relative to the
        fold work, which is where fusion matters *)
     [ (64, 64, 2); (96, 96, 2); (64, 64, 16) ];
@@ -219,25 +216,27 @@ let bench_fusion () =
 
 let bench_slice_elim () =
   Fmt.pr "@.=== C3: slice-copy elimination (§III-A5) ===@.";
-  Fmt.pr "  %-14s %14s %14s %11s %11s@." "size" "optimized(ms)" "naive(ms)"
-    "allocs opt" "allocs no";
+  Fmt.pr "  %-14s %24s %24s %14s %11s %11s@." "size" "optimized(ms)"
+    "naive(ms)" "naive/opt" "allocs opt" "allocs no";
   List.iter
     (fun (m, n, p) ->
       let data = cube ~m ~n ~p in
-      let measure ~copy_elim =
+      (* allocations of one run, then its timing *)
+      let time ~copy_elim =
         with_input data (fun dir ->
-            Runtime.Rc.reset ();
-            let t =
-              wall ~reps:3 (fun () ->
-                  run_prog ~c:c_full ~dir ~pass:("copy-elim", copy_elim)
-                    Eddy.Programs.fig1_with_slice_copy)
+            let run () =
+              run_prog ~c:c_full ~dir ~pass:("copy-elim", copy_elim)
+                Eddy.Programs.fig1_with_slice_copy
             in
-            (t, (Runtime.Rc.stats ()).Runtime.Rc.allocs))
+            Runtime.Rc.reset ();
+            run ();
+            let allocs = (Runtime.Rc.stats ()).Runtime.Rc.allocs in
+            (measure run, allocs))
       in
-      let t_opt, a_opt = measure ~copy_elim:true in
-      let t_no, a_no = measure ~copy_elim:false in
-      Fmt.pr "  %4dx%4dx%3d %14.1f %14.1f %11d %11d@." m n p (t_opt *. 1000.)
-        (t_no *. 1000.) a_opt a_no)
+      let t_opt, a_opt = time ~copy_elim:true in
+      let t_no, a_no = time ~copy_elim:false in
+      Fmt.pr "  %4dx%4dx%3d %24s %24s %14s %11d %11d@." m n p (ms t_opt)
+        (ms t_no) (verdict t_no t_opt) a_opt a_no)
     [ (16, 16, 16); (32, 32, 24) ];
   instrumented "C3" (fun () ->
       let data = cube ~m:16 ~n:16 ~p:16 in
@@ -270,19 +269,19 @@ let bench_transform_variants () =
         1 );
     ]
   in
-  Fmt.pr "  %-32s %12s@." "variant" "wall (ms)";
+  Fmt.pr "  %-32s %24s@." "variant" "wall (ms)";
   List.iter
     (fun (label, src, threads) ->
-      let secs =
-        if threads > 1 then
-          Runtime.Pool.with_pool threads (fun pool ->
-              with_input data (fun dir ->
-                  wall (fun () -> run_prog ~c:c_full ~dir ~pool src)))
-        else
-          with_input data (fun dir ->
-              wall (fun () -> run_prog ~c:c_full ~dir src))
+      let time ?pool () =
+        with_input data (fun dir ->
+            measure (fun () -> run_prog ~c:c_full ~dir ?pool src))
       in
-      Fmt.pr "  %-32s %12.1f@." label (secs *. 1000.))
+      let s =
+        if threads > 1 then
+          Runtime.Pool.with_pool threads (fun pool -> time ~pool ())
+        else time ()
+      in
+      Fmt.pr "  %-32s %24s@." label (ms s))
     variants;
   instrumented "C4" (fun () ->
       with_input data (fun dir ->
@@ -291,32 +290,35 @@ let bench_transform_variants () =
 
 (* --- C5: enhanced fork-join vs naive spawn-per-region ------------------------------------ *)
 
+(* The two sides of C5: [regions] parallel regions of [work] iterations
+   on a persistent pool of [t] domains, or spawning [t] domains per
+   region. *)
+let pool_side ?reps ~regions ~work ~body t =
+  Runtime.Pool.with_pool t (fun pool ->
+      measure ?reps (fun () ->
+          for _ = 1 to regions do
+            Runtime.Pool.parallel_for pool 0 work body
+          done))
+
+let spawn_side ?reps ~regions ~work ~body t =
+  measure ?reps (fun () ->
+      for _ = 1 to regions do
+        Runtime.Pool.naive_parallel_for t 0 work body
+      done)
+
 let bench_forkjoin () =
   Fmt.pr "@.=== C5: enhanced fork-join (§III-C) ===@.";
   let regions = 200 and work = 2_000 in
   let sink = Array.make work 0 in
   let body i = sink.(i) <- sink.(i) + 1 in
-  let pool_time t =
-    Runtime.Pool.with_pool t (fun pool ->
-        wall (fun () ->
-            for _ = 1 to regions do
-              Runtime.Pool.parallel_for pool 0 work body
-            done))
-  in
-  let naive_time t =
-    wall ~reps:1 (fun () ->
-        for _ = 1 to regions do
-          Runtime.Pool.naive_parallel_for t 0 work body
-        done)
-  in
   Fmt.pr "  %d parallel regions of %d iterations each:@." regions work;
-  Fmt.pr "  %8s %12s %22s %8s@." "threads" "pool (ms)"
-    "spawn-per-region (ms)" "ratio";
+  Fmt.pr "  %8s %24s %24s %14s@." "threads" "pool (ms)"
+    "spawn-per-region (ms)" "spawn/pool";
   List.iter
     (fun t ->
-      let p = pool_time t and n = naive_time t in
-      Fmt.pr "  %8d %12.1f %22.1f %8.1fx@." t (p *. 1000.) (n *. 1000.)
-        (n /. p))
+      let p = pool_side ~regions ~work ~body t in
+      let n = spawn_side ~regions ~work ~body t in
+      Fmt.pr "  %8d %24s %24s %14s@." t (ms p) (ms n) (verdict n p))
     [ 2; 4 ];
   instrumented "C5" (fun () ->
       Runtime.Pool.with_pool 2 (fun pool ->
@@ -329,35 +331,31 @@ let bench_forkjoin () =
 let bench_refcount () =
   Fmt.pr "@.=== C6: reference counting (§III-B/C) ===@.";
   let data = cube ~m:32 ~n:32 ~p:16 in
-  let with_rc =
+  let time c =
     with_input data (fun dir ->
-        wall (fun () ->
-            run_prog ~c:c_full ~dir Eddy.Programs.fig1_temporal_mean))
+        measure (fun () ->
+            run_prog ~c ~dir Eddy.Programs.fig1_temporal_mean))
   in
-  let without_rc =
-    with_input data (fun dir ->
-        wall (fun () ->
-            run_prog ~c:c_norc ~dir Eddy.Programs.fig1_temporal_mean))
-  in
-  Fmt.pr "  Fig 1 workload: rc on %.1f ms, rc off %.1f ms (overhead %+.1f%%)@."
-    (with_rc *. 1000.)
-    (without_rc *. 1000.)
-    (((with_rc /. without_rc) -. 1.) *. 100.);
+  let with_rc = time c_full in
+  let without_rc = time c_norc in
+  Fmt.pr "  Fig 1 workload: rc on %s ms, rc off %s ms (on/off: %s)@."
+    (ms with_rc) (ms without_rc)
+    (verdict with_rc without_rc);
   (* §III-C: "most allocations made are relatively infrequent and are
      large" — hot-path costs of the rc primitives: *)
-  ignore
-    (bechamel_group "rc primitives"
-       [
-         Test.make ~name:"alloc+release 4KiB payload"
-           (Staged.stage (fun () ->
-                let cell = Runtime.Rc.alloc ~bytes:4096 (Array.make 512 0.) in
-                Runtime.Rc.decr_ cell));
-         Test.make ~name:"inc/dec pair on a live cell"
-           (let cell = Runtime.Rc.alloc ~bytes:0 () in
-            Staged.stage (fun () ->
-                Runtime.Rc.incr_ cell;
-                Runtime.Rc.decr_ cell));
-       ]);
+  let live = Runtime.Rc.alloc ~bytes:0 () in
+  micro "rc primitives"
+    [
+      ( "alloc+release 4KiB payload",
+        10_000,
+        fun () ->
+          Runtime.Rc.decr_ (Runtime.Rc.alloc ~bytes:4096 (Array.make 512 0.)) );
+      ( "inc/dec pair on a live cell",
+        100_000,
+        fun () ->
+          Runtime.Rc.incr_ live;
+          Runtime.Rc.decr_ live );
+    ];
   instrumented "C6" (fun () ->
       with_input data (fun dir ->
           run_prog ~c:c_full ~dir Eddy.Programs.fig1_temporal_mean))
@@ -366,67 +364,153 @@ let bench_refcount () =
 
 let bench_composition () =
   Fmt.pr "@.=== C7: grammar composition and composability analyses (§VI) ===@.";
-  let time_of f = wall ~reps:3 f in
-  let t_host =
-    time_of (fun () -> ignore (Grammar.Lalr.build Driver.effective_host))
-  in
-  let t_matrix =
-    time_of (fun () ->
+  let lalr exts =
+    measure (fun () ->
         ignore
-          (Grammar.Lalr.build
-             (Grammar.Cfg.compose Driver.effective_host
-                [ Ext_matrix.Matrix_ext.grammar ])))
-  in
-  let t_all =
-    time_of (fun () ->
-        ignore
-          (Grammar.Lalr.build
-             (Grammar.Cfg.compose Driver.effective_host
-                [
-                  Ext_matrix.Matrix_ext.grammar;
-                  Ext_transform.Transform_ext.grammar;
-                ])))
-  in
-  let t_analysis =
-    time_of (fun () ->
-        ignore
-          (Grammar.Determinism.check Driver.effective_host
-             Ext_matrix.Matrix_ext.grammar))
-  in
-  let t_compose_full =
-    time_of (fun () -> ignore (Driver.compose Driver.all_extensions))
+          (Grammar.Lalr.build (Grammar.Cfg.compose Driver.effective_host exts)))
   in
   let states sel = (Driver.compose sel).Driver.table.Grammar.Lalr.n_states in
-  Fmt.pr "  %-46s %10s %8s@." "configuration" "time (ms)" "states";
-  Fmt.pr "  %-46s %10.1f %8d@." "host alone (LALR tables)" (t_host *. 1000.)
-    (states []);
-  Fmt.pr "  %-46s %10.1f %8d@." "host + matrix" (t_matrix *. 1000.)
-    (states [ Driver.matrix ]);
-  Fmt.pr "  %-46s %10.1f %8d@." "host + matrix + transform" (t_all *. 1000.)
-    (states [ Driver.matrix; Driver.transform ]);
-  Fmt.pr "  %-46s %10.1f %8s@." "isComposable(host, matrix)"
-    (t_analysis *. 1000.) "-";
-  Fmt.pr "  %-46s %10.1f %8s@."
-    "full compose (analyses + tables + scanner DFAs)"
-    (t_compose_full *. 1000.) "-";
+  let row label s states =
+    Fmt.pr "  %-46s %24s %8s@." label (ms s) states
+  in
+  Fmt.pr "  %-46s %24s %8s@." "configuration" "time (ms)" "states";
+  row "host alone (LALR tables)" (lalr []) (string_of_int (states []));
+  row "host + matrix"
+    (lalr [ Ext_matrix.Matrix_ext.grammar ])
+    (string_of_int (states [ Driver.matrix ]));
+  row "host + matrix + transform"
+    (lalr
+       [ Ext_matrix.Matrix_ext.grammar; Ext_transform.Transform_ext.grammar ])
+    (string_of_int (states [ Driver.matrix; Driver.transform ]));
+  row "isComposable(host, matrix)"
+    (measure (fun () ->
+         ignore
+           (Grammar.Determinism.check Driver.effective_host
+              Ext_matrix.Matrix_ext.grammar)))
+    "-";
+  row "full compose (analyses + tables + scanner DFAs)"
+    (measure (fun () -> ignore (Driver.compose Driver.all_extensions)))
+    "-";
   Fmt.pr "  analyses verdicts: matrix/transform/refptr PASS; tuples FAILS \
           (host-packaged) — see examples/extensibility_demo.@.";
   instrumented "C7" (fun () ->
       ignore (Driver.compose Driver.all_extensions))
 
-(* --- BENCH_kernels.json: the native rows of C12-C14 ---------------------------------------- *)
+(* --- the native measured paths (C12-C14, BENCH_kernels.json, --compare) ----------------- *)
 
-(* C12 rows (prog, interp_ms, native_ms, compile_ms); filled by
-   [bench_native] before [write_bench_kernels] runs. *)
-let native_rows : (string * float * float * float) list ref = ref []
+(* One row kind of BENCH_kernels.json: its section, the field
+   `bench --compare` gates, the programs it covers and the measured path
+   itself.  C12-C14 and `bench --compare` both time [run], so the
+   baseline and the re-measurement can never drift apart. *)
+type native_kind = {
+  section : string;
+  field : string;
+  progs : (string * string option) list;
+  run : cache_dir:string -> dir:string -> string -> unit;
+}
 
-(* C13 rows (prog, plain_ms, instrumented_ms, overhead_pct); filled by
-   [bench_native_profile] before [write_bench_kernels] runs. *)
-let native_profile_rows : (string * float * float * float) list ref = ref []
+let native_cube () = cube ~m:48 ~n:64 ~p:32
 
-(* C14 rows (prog, plain_ms, guards_ms, overhead_pct); filled by
-   [bench_native_guards] before [write_bench_kernels] runs. *)
-let native_guards_rows : (string * float * float * float) list ref = ref []
+let example name =
+  List.find_opt Sys.file_exists
+    [ Filename.concat "examples" name; Filename.concat "../examples" name ]
+  |> Option.map (fun p -> In_channel.with_open_text p In_channel.input_all)
+
+let paper_progs =
+  [
+    ("fig1", Some Eddy.Programs.fig1_temporal_mean);
+    ("fig9", Some Eddy.Programs.fig9_transformed);
+  ]
+
+let corpus_progs = paper_progs @ [ ("eddy_energy", example "eddy_energy.mc") ]
+
+(* `mmc profile --native` with the default (sequential) pipeline, the
+   lowering [Driver.exec] uses, so plain and instrumented binaries differ
+   only in the probes — with auto-par on the instrumented side would also
+   pay one GOMP single-thread region launch per dispatch (~1.8 ms on
+   eddy_energy), which is OpenMP overhead, not instrumentation. *)
+let profile_native ~cache_dir ~dir src =
+  or_die "native profile bench"
+    (Driver.profile_native
+       ~config:(Driver.default_config c_full)
+       ~dir ~cache_dir c_full src)
+
+(* Warm `mmc exec`: frontend + lower + binary-cache hit + run. *)
+let plain_exec =
+  {
+    section = "native";
+    field = "native_ms";
+    progs = paper_progs;
+    run =
+      (fun ~cache_dir ~dir src ->
+        ignore
+          (or_die "native bench program"
+             (Driver.exec ~dir ~cache_dir c_full src)));
+  }
+
+(* Warm `mmc profile --native`: one mm_prof_enter/exit pair per executed
+   provenance span plus a worker-clock read per parallel region. *)
+let profiled_exec =
+  {
+    section = "native_profile";
+    field = "instrumented_ms";
+    progs = corpus_progs;
+    run =
+      (fun ~cache_dir ~dir src -> ignore (profile_native ~cache_dir ~dir src));
+  }
+
+(* Warm `mmc exec --guards`: every emitted subscript through the
+   MM_GUARD_IDX bounds/NULL check, crash breadcrumbs around provenance
+   sites. *)
+let guarded_exec =
+  {
+    section = "native_guards";
+    field = "guards_ms";
+    progs = corpus_progs;
+    run =
+      (fun ~cache_dir ~dir src ->
+        ignore
+          (or_die "guarded bench program"
+             (Driver.exec ~guards:true ~dir ~cache_dir c_full src)));
+  }
+
+let native_kinds = [ plain_exec; profiled_exec; guarded_exec ]
+
+(* Rows for BENCH_kernels.json as (section, JSON object), newest first;
+   filled by C12-C14 before [write_bench_kernels] runs. *)
+let kernel_rows : (string * string) list ref = ref []
+
+let add_row kind prog fields =
+  kernel_rows :=
+    ( kind.section,
+      Support.Telemetry.json_obj
+        (("prog", Printf.sprintf "%S" prog)
+        :: List.map (fun (k, v) -> (k, Printf.sprintf "%.3f" v)) fields) )
+    :: !kernel_rows
+
+let write_bench_kernels () =
+  let section kind =
+    match
+      List.rev
+        (List.filter_map
+           (fun (s, row) -> if s = kind.section then Some row else None)
+           !kernel_rows)
+    with
+    | [] -> ""
+    | rows ->
+        Printf.sprintf ",\n \"%s\":[%s]" kind.section
+          (String.concat ",\n  " rows)
+  in
+  let oc = open_out "BENCH_kernels.json" in
+  Printf.fprintf oc "{\"machine_cores\":%d%s}\n" cores
+    (String.concat "" (List.map section native_kinds));
+  close_out oc;
+  Fmt.pr "@.native rows written to BENCH_kernels.json@."
+
+let with_cc k =
+  match Native.Toolchain.probe () with
+  | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
+  | Ok tc -> k tc
 
 (* --- C12: native execution vs the interpreter (§II) ------------------------------------------- *)
 
@@ -434,266 +518,138 @@ let native_guards_rows : (string * float * float * float) list ref = ref []
    `mmc exec` does exactly that.  C12 measures what that buys: end-to-end
    wall time of the interpreted path (`mmc run`) against the native path
    (`mmc exec`, binary cache warm so compilation is excluded), plus the
-   one-time cost of the C compile itself.  Rows land in
-   BENCH_kernels.json as {prog, interp_ms, native_ms, compile_ms} and are
-   regression-gated by `bench --compare`. *)
-
-let native_progs =
-  [
-    ("fig1", Eddy.Programs.fig1_temporal_mean);
-    ("fig9", Eddy.Programs.fig9_transformed);
-  ]
-
-let native_cube () = cube ~m:48 ~n:64 ~p:32
-
-let exec_native ~cache_dir ~dir src =
-  match Driver.exec ~dir ~cache_dir c_full src with
-  | Driver.Ok_ o -> o
-  | Driver.Failed ds ->
-      Fmt.epr "native bench program failed: %s@." (Driver.diags_to_string ds);
-      exit 1
-
+   one-time cost of the C compile itself. *)
 let bench_native () =
   Fmt.pr "@.=== C12: native execution vs interpreter (§II) ===@.";
-  match Native.Toolchain.probe () with
-  | Error e ->
-      Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
-  | Ok tc ->
-      Fmt.pr "  cc: %s%s@." tc.Native.Toolchain.cc
-        (if tc.Native.Toolchain.openmp then " (OpenMP live)"
-         else " (no OpenMP: sequential fallback)");
-      let data = native_cube () in
-      Driver.with_data_dir None @@ fun cache_dir ->
-      Fmt.pr "  %-8s %12s %12s %13s %9s@." "prog" "interp(ms)" "native(ms)"
-        "compile(ms)" "speedup";
-      List.iter
-        (fun (name, src) ->
+  with_cc @@ fun tc ->
+  Fmt.pr "  cc: %s%s@." tc.Native.Toolchain.cc
+    (if tc.Native.Toolchain.openmp then " (OpenMP live)"
+     else " (no OpenMP: sequential fallback)");
+  let data = native_cube () in
+  Driver.with_data_dir None @@ fun cache_dir ->
+  Fmt.pr "  %-8s %24s %24s %12s %14s@." "prog" "interp(ms)" "native(ms)"
+    "compile(ms)" "interp/native";
+  List.iter
+    (fun (name, src) ->
+      let src = Option.get src in
+      with_input data (fun dir ->
+          let interp = measure (fun () -> run_prog ~c:c_full ~dir src) in
+          (* Cold exec fills the cache; the compile-time gauge is the C
+             compiler's share of it. *)
+          Support.Telemetry.reset ();
+          Support.Telemetry.set_enabled true;
+          plain_exec.run ~cache_dir ~dir src;
+          let compile_ms =
+            match
+              List.assoc_opt "native.compile_ns" (Support.Telemetry.gauges ())
+            with
+            | Some ns -> ns /. 1e6
+            | None -> 0.
+          in
+          Support.Telemetry.set_enabled false;
+          Support.Telemetry.reset ();
+          let native = measure (fun () -> plain_exec.run ~cache_dir ~dir src) in
+          add_row plain_exec name
+            [
+              ("interp_ms", interp.med *. 1000.);
+              ("native_ms", native.med *. 1000.);
+              ("compile_ms", compile_ms);
+              ("speedup", interp.med /. native.med);
+              ("iqr_ms", iqr native *. 1000.);
+            ];
+          Fmt.pr "  %-8s %24s %24s %12.1f %14s@." name (ms interp) (ms native)
+            compile_ms (verdict interp native)))
+    plain_exec.progs;
+  instrumented "C12" (fun () ->
+      with_input data (fun dir ->
+          plain_exec.run ~cache_dir ~dir Eddy.Programs.fig1_temporal_mean))
+
+(* --- C13/C14: the cost of one native variant over plain `mmc exec` (§II) ---------------------- *)
+
+(* Warm-cache plain `mmc exec` against [kind]'s variant of it, per
+   program.  [extra] adds a (header, cell) column, [telemetry] is the
+   group's representative instrumented run. *)
+let bench_native_variant ~title ~group ~label kind ?extra ~telemetry () =
+  Fmt.pr "@.=== %s: %s ===@." group title;
+  with_cc @@ fun _ ->
+  let data = native_cube () in
+  Driver.with_data_dir None @@ fun cache_dir ->
+  let col, extra =
+    Option.value extra ~default:("", fun ~cache_dir:_ ~dir:_ _ -> "")
+  in
+  Fmt.pr "  %-12s %24s %24s %14s%s@." "prog" "plain(ms)" (label ^ "(ms)")
+    (label ^ "/plain") col;
+  List.iter
+    (fun (name, src) ->
+      match src with
+      | None -> Fmt.pr "  %-12s source not found — skipped@." name
+      | Some src ->
           with_input data (fun dir ->
-              let interp =
-                wall (fun () -> run_prog ~c:c_full ~dir src)
-              in
-              (* Cold exec fills the cache; the compile-time gauge is the
-                 C compiler's share of it. *)
-              Support.Telemetry.reset ();
-              Support.Telemetry.set_enabled true;
-              ignore (exec_native ~cache_dir ~dir src);
-              let compile_ms =
-                match
-                  List.assoc_opt "native.compile_ns"
-                    (Support.Telemetry.gauges ())
-                with
-                | Some ns -> ns /. 1e6
-                | None -> 0.
-              in
-              Support.Telemetry.set_enabled false;
-              Support.Telemetry.reset ();
-              (* Warm path: frontend + lower + cache hit + run. *)
-              let native =
-                wall (fun () -> ignore (exec_native ~cache_dir ~dir src))
-              in
-              native_rows :=
-                (name, interp *. 1000., native *. 1000., compile_ms)
-                :: !native_rows;
-              Fmt.pr "  %-8s %12.1f %12.1f %13.1f %8.2fx@." name
-                (interp *. 1000.) (native *. 1000.) compile_ms
-                (interp /. native)))
-        native_progs;
-      instrumented "C12" (fun () ->
-          with_input data (fun dir ->
-              ignore
-                (exec_native ~cache_dir ~dir Eddy.Programs.fig1_temporal_mean)))
+              (* each warmup call fills its cache slot, so the timed
+                 calls measure the run, not the C compiler *)
+              let time k = measure (fun () -> k.run ~cache_dir ~dir src) in
+              let plain = time plain_exec in
+              let variant = time kind in
+              add_row kind name
+                [
+                  ("plain_ms", plain.med *. 1000.);
+                  (kind.field, variant.med *. 1000.);
+                  ("overhead_pct", (variant.med /. plain.med -. 1.) *. 100.);
+                  ("iqr_ms", iqr variant *. 1000.);
+                ];
+              Fmt.pr "  %-12s %24s %24s %14s%s@." name (ms plain) (ms variant)
+                (verdict variant plain)
+                (extra ~cache_dir ~dir src)))
+    kind.progs;
+  instrumented group (fun () ->
+      with_input data (fun dir -> telemetry ~cache_dir ~dir))
 
-(* --- C13: native profiling overhead and interp/native span ratios (§II) ----------------------- *)
-
-(* The instrumented binary pays one mm_prof_enter/exit pair per executed
-   provenance span plus a worker-clock read per parallel region; the
-   acceptance bar is <10% end-to-end overhead on the paper corpus.
-   Warm-cache wall times of plain `mmc exec` vs `mmc profile --native`
-   land in BENCH_kernels.json as {prog, plain_ms, instrumented_ms,
-   overhead_pct} and are regression-gated by `bench --compare`; the
-   per-span interp/native self-time ratios go out as C13 telemetry
-   gauges so the BENCH trajectory tracks where native code gains least. *)
-
-let profile_example name =
-  List.find_opt Sys.file_exists
-    [ Filename.concat "examples" name; Filename.concat "../examples" name ]
-  |> Option.map (fun p -> In_channel.with_open_text p In_channel.input_all)
-
-let native_profile_progs () =
-  [
-    ("fig1", Some Eddy.Programs.fig1_temporal_mean);
-    ("fig9", Some Eddy.Programs.fig9_transformed);
-    ("eddy_energy", profile_example "eddy_energy.mc");
-  ]
-
-(* [~auto_par:false] matches the sequential lowering [exec_native] uses,
-   so plain and instrumented binaries differ only in the probes — with
-   the default auto-par lowering the instrumented side would also pay
-   one GOMP single-thread region launch per dispatch (~1.8 ms on
-   eddy_energy), which is OpenMP overhead, not instrumentation. *)
-let profile_native_once ~cache_dir ~dir src =
-  match
-    Driver.profile_native
-      ~config:(Driver.default_config c_full)
-      ~dir ~cache_dir c_full src
-  with
-  | Driver.Ok_ (o, report) -> (o, report)
-  | Driver.Failed ds ->
-      Fmt.epr "native profile bench failed: %s@." (Driver.diags_to_string ds);
-      exit 1
-
+(* C13 also exports the per-span interp/native self-time ratios of fig1
+   as telemetry gauges, so the BENCH trajectory tracks where native code
+   gains least. *)
 let bench_native_profile () =
-  Fmt.pr "@.=== C13: native profiling overhead (§II) ===@.";
-  match Native.Toolchain.probe () with
-  | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
-  | Ok _ ->
-      let data = native_cube () in
-      Driver.with_data_dir None @@ fun cache_dir ->
-      Fmt.pr "  %-12s %10s %16s %9s %9s@." "prog" "plain(ms)"
-        "instrumented(ms)" "overhead" "coverage";
+  bench_native_variant ~title:"native profiling overhead (§II)" ~group:"C13"
+    ~label:"instr" profiled_exec
+    ~extra:
+      ( Printf.sprintf " %9s" "coverage",
+        fun ~cache_dir ~dir src ->
+          let _, report = profile_native ~cache_dir ~dir src in
+          Printf.sprintf " %8.1f%%"
+            (Driver.Profile_report.coverage report *. 100.) )
+    ~telemetry:(fun ~cache_dir ~dir ->
+      let src = Eddy.Programs.fig1_temporal_mean in
+      let interp =
+        match
+          Driver.profile ~config:(Driver.default_config c_full) ~dir c_full src
+            []
+        with
+        | Driver.Ok_ _, report -> report
+        | Driver.Failed ds, _ ->
+            Fmt.epr "interp profile bench failed: %s@."
+              (Driver.diags_to_string ds);
+            exit 1
+      in
+      let _, native = profile_native ~cache_dir ~dir src in
+      let d = Driver.Profile_report.diff_reports ~src ~interp ~native in
+      Support.Telemetry.set_gauge "profile.program_ratio"
+        d.Driver.Profile_report.program_ratio;
+      Support.Telemetry.set_gauge "profile.native_coverage"
+        (Driver.Profile_report.coverage native);
       List.iter
-        (fun (name, src) ->
-          match src with
-          | None -> Fmt.pr "  %-12s source not found — skipped@." name
-          | Some src ->
-              with_input data (fun dir ->
-                  (* cold runs fill both cache slots, so the timed reps
-                     measure the run, not the C compiler *)
-                  ignore (exec_native ~cache_dir ~dir src);
-                  let _, report = profile_native_once ~cache_dir ~dir src in
-                  let plain =
-                    wall_min ~reps:7 (fun () ->
-                        ignore (exec_native ~cache_dir ~dir src))
-                  in
-                  let instr =
-                    wall_min ~reps:7 (fun () ->
-                        ignore (profile_native_once ~cache_dir ~dir src))
-                  in
-                  let overhead = (instr -. plain) /. plain *. 100. in
-                  native_profile_rows :=
-                    (name, plain *. 1000., instr *. 1000., overhead)
-                    :: !native_profile_rows;
-                  Fmt.pr "  %-12s %10.2f %16.2f %8.1f%% %8.1f%%@." name
-                    (plain *. 1000.) (instr *. 1000.) overhead
-                    (Driver.Profile_report.coverage report *. 100.)))
-        (native_profile_progs ());
-      instrumented "C13" (fun () ->
-          with_input data (fun dir ->
-              let src = Eddy.Programs.fig1_temporal_mean in
-              let interp =
-                match
-                  Driver.profile
-                    ~config:(Driver.default_config c_full)
-                    ~dir c_full src []
-                with
-                | Driver.Ok_ _, report -> report
-                | Driver.Failed ds, _ ->
-                    Fmt.epr "interp profile bench failed: %s@."
-                      (Driver.diags_to_string ds);
-                    exit 1
-              in
-              let _, native = profile_native_once ~cache_dir ~dir src in
-              let d =
-                Driver.Profile_report.diff_reports ~src ~interp ~native
-              in
-              Support.Telemetry.set_gauge "profile.program_ratio"
-                d.Driver.Profile_report.program_ratio;
-              Support.Telemetry.set_gauge "profile.native_coverage"
-                (Driver.Profile_report.coverage native);
-              List.iter
-                (fun (r : Driver.Profile_report.diff_row) ->
-                  Option.iter
-                    (Support.Telemetry.set_gauge
-                       ("profile.span_ratio." ^ r.Driver.Profile_report.d_span))
-                    r.Driver.Profile_report.d_speedup)
-                d.Driver.Profile_report.diff_rows))
-
-(* --- C14: emitted-C runtime guard overhead (§II) ---------------------------------------------- *)
-
-(* `mmc exec --guards` routes every emitted subscript through the
-   MM_GUARD_IDX bounds/NULL check and pushes crash breadcrumbs around
-   provenance sites; the acceptance bar is <=15% end-to-end overhead on
-   the paper corpus.  Warm-cache min-of-7 wall times of plain vs guarded
-   `mmc exec` land in BENCH_kernels.json as {prog, plain_ms, guards_ms,
-   overhead_pct} and are regression-gated by `bench --compare`. *)
-
-let exec_native_guards ~cache_dir ~dir src =
-  match Driver.exec ~guards:true ~dir ~cache_dir c_full src with
-  | Driver.Ok_ o -> o
-  | Driver.Failed ds ->
-      Fmt.epr "guarded bench program failed: %s@." (Driver.diags_to_string ds);
-      exit 1
+        (fun (r : Driver.Profile_report.diff_row) ->
+          Option.iter
+            (Support.Telemetry.set_gauge
+               ("profile.span_ratio." ^ r.Driver.Profile_report.d_span))
+            r.Driver.Profile_report.d_speedup)
+        d.Driver.Profile_report.diff_rows)
+    ()
 
 let bench_native_guards () =
-  Fmt.pr "@.=== C14: runtime guard overhead (§II) ===@.";
-  match Native.Toolchain.probe () with
-  | Error e -> Fmt.pr "  skipped: %s@." (Native.Toolchain.describe_error e)
-  | Ok _ ->
-      let data = native_cube () in
-      Driver.with_data_dir None @@ fun cache_dir ->
-      Fmt.pr "  %-12s %10s %12s %9s@." "prog" "plain(ms)" "guards(ms)"
-        "overhead";
-      List.iter
-        (fun (name, src) ->
-          match src with
-          | None -> Fmt.pr "  %-12s source not found — skipped@." name
-          | Some src ->
-              with_input data (fun dir ->
-                  (* cold runs fill both cache slots, so the timed reps
-                     measure the run, not the C compiler *)
-                  ignore (exec_native ~cache_dir ~dir src);
-                  ignore (exec_native_guards ~cache_dir ~dir src);
-                  let plain =
-                    wall_min ~reps:7 (fun () ->
-                        ignore (exec_native ~cache_dir ~dir src))
-                  in
-                  let guarded =
-                    wall_min ~reps:7 (fun () ->
-                        ignore (exec_native_guards ~cache_dir ~dir src))
-                  in
-                  let overhead = (guarded -. plain) /. plain *. 100. in
-                  native_guards_rows :=
-                    (name, plain *. 1000., guarded *. 1000., overhead)
-                    :: !native_guards_rows;
-                  Fmt.pr "  %-12s %10.2f %12.2f %8.1f%%@." name
-                    (plain *. 1000.) (guarded *. 1000.) overhead))
-        (native_profile_progs ());
-      instrumented "C14" (fun () ->
-          with_input data (fun dir ->
-              ignore
-                (exec_native_guards ~cache_dir ~dir
-                   Eddy.Programs.fig1_temporal_mean)))
-
-(* The rows C12-C14 collected, as the baseline `bench --compare` gates. *)
-let write_bench_kernels () =
-  (* rows are consed on as they are measured; rev_map restores the order *)
-  let section key fmt_row rows =
-    match List.rev_map fmt_row rows with
-    | [] -> ""
-    | rows -> Printf.sprintf ",\n \"%s\":[%s]" key (String.concat ",\n  " rows)
-  in
-  let oc = open_out "BENCH_kernels.json" in
-  Printf.fprintf oc "{\"machine_cores\":%d%s%s%s}\n" cores
-    (section "native"
-       (fun (prog, interp_ms, native_ms, compile_ms) ->
-         Printf.sprintf
-           "{\"prog\":%S,\"interp_ms\":%.3f,\"native_ms\":%.3f,\"compile_ms\":%.3f,\"speedup\":%.2f}"
-           prog interp_ms native_ms compile_ms (interp_ms /. native_ms))
-       !native_rows)
-    (section "native_profile"
-       (fun (prog, plain_ms, instr_ms, overhead_pct) ->
-         Printf.sprintf
-           "{\"prog\":%S,\"plain_ms\":%.3f,\"instrumented_ms\":%.3f,\"overhead_pct\":%.2f}"
-           prog plain_ms instr_ms overhead_pct)
-       !native_profile_rows)
-    (section "native_guards"
-       (fun (prog, plain_ms, guards_ms, overhead_pct) ->
-         Printf.sprintf
-           "{\"prog\":%S,\"plain_ms\":%.3f,\"guards_ms\":%.3f,\"overhead_pct\":%.2f}"
-           prog plain_ms guards_ms overhead_pct)
-       !native_guards_rows);
-  close_out oc;
-  Fmt.pr "@.native rows written to BENCH_kernels.json@."
+  bench_native_variant ~title:"runtime guard overhead (§II)" ~group:"C14"
+    ~label:"guards" guarded_exec
+    ~telemetry:(fun ~cache_dir ~dir ->
+      guarded_exec.run ~cache_dir ~dir Eddy.Programs.fig1_temporal_mean)
+    ()
 
 (* --- C11: optimization-remark counts over the paper corpus ------------------------------------ *)
 
@@ -731,17 +687,18 @@ let bench_remarks () =
       corpus
   in
   Support.Remark.set_enabled false;
-  let off = wall lower_all in
+  let off = measure lower_all in
   let remarks = explain_all () in
   Support.Remark.set_enabled false;
-  let on = wall (fun () -> ignore (explain_all ())) in
+  let on = measure (fun () -> ignore (explain_all ())) in
   Support.Remark.set_enabled false;
   Fmt.pr "  %-24s %8s %8s %8s@." "pass" "applied" "missed" "skipped";
   List.iter
     (fun (pass, a, m, s) -> Fmt.pr "  %-24s %8d %8d %8d@." pass a m s)
     (Support.Remark.counts remarks);
-  Fmt.pr "  remark tax: lowering %.1f ms silent, %.1f ms collecting@."
-    (off *. 1000.) (on *. 1000.);
+  Fmt.pr "  remark tax: lowering %s ms silent, %s ms collecting \
+          (collecting/silent: %s)@."
+    (ms off) (ms on) (verdict on off);
   instrumented "C11" (fun () ->
       let remarks = explain_all () in
       Support.Remark.set_enabled false;
@@ -762,32 +719,33 @@ let bench_remarks () =
 let bench_kernels () =
   let buf = Array.init 4096 float_of_int in
   let out = Array.make 4096 0. in
-  ignore
-    (bechamel_group "runtime kernels"
-       [
-         Test.make ~name:"simd add 4-lane over 4096 floats"
-           (Staged.stage (fun () ->
-                let i = ref 0 in
-                while !i + 4 <= 4096 do
-                  Runtime.Simd.store out !i
-                    (Runtime.Simd.add
-                       (Runtime.Simd.load buf !i ~width:4)
-                       (Runtime.Simd.load out !i ~width:4));
-                  i := !i + 4
-                done));
-         Test.make ~name:"scalar add over 4096 floats"
-           (Staged.stage (fun () ->
-                for i = 0 to 4095 do
-                  out.(i) <- out.(i) +. buf.(i)
-                done));
-       ])
+  micro "runtime kernels"
+    [
+      ( "simd add 4-lane over 4096 floats",
+        50,
+        fun () ->
+          let i = ref 0 in
+          while !i + 4 <= 4096 do
+            Runtime.Simd.store out !i
+              (Runtime.Simd.add
+                 (Runtime.Simd.load buf !i ~width:4)
+                 (Runtime.Simd.load out !i ~width:4));
+            i := !i + 4
+          done );
+      ( "scalar add over 4096 floats",
+        1_000,
+        fun () ->
+          for i = 0 to 4095 do
+            out.(i) <- out.(i) +. buf.(i)
+          done );
+    ]
 
 (* --- bench --compare: regression gate against a committed baseline ---------------- *)
 
-(* Re-measure the native rows of a BENCH_kernels.json baseline (warm
-   `mmc exec`, instrumented and guarded runs) and fail on >25% slowdown
-   of any of them.  Speed-ups and small noise pass; the gate is for
-   catching real regressions in the native path. *)
+(* Re-measure every native row of a BENCH_kernels.json baseline through
+   its kind's measured path and fail when the current median is more
+   than 25% above the baseline value.  Speed-ups and small noise pass;
+   the gate is for catching real regressions in the native path. *)
 let compare_threshold = 1.25
 
 let bench_compare baseline_path =
@@ -802,236 +760,80 @@ let bench_compare baseline_path =
         Fmt.epr "bench --compare: %s is not valid JSON: %s@." baseline_path m;
         exit 2
   in
+  let pct = (compare_threshold -. 1.) *. 100. in
   Fmt.pr "=== bench --compare vs %s (fail on >%.0f%% slowdown) ===@."
-    baseline_path
-    ((compare_threshold -. 1.) *. 100.);
+    baseline_path pct;
   let failures = ref 0 in
-  let check name ~baseline_ms ~current_ms =
-    let ratio = current_ms /. baseline_ms in
-    let bad = ratio > compare_threshold in
-    if bad then incr failures;
-    Fmt.pr "  %-28s baseline %9.2f ms   now %9.2f ms   %5.2fx %s@." name
-      baseline_ms current_ms ratio
-      (if bad then "REGRESSION" else "ok")
-  in
-  (* C12 rows: re-run each baselined program through the warm native path
-     and gate its wall time.  Without a C compiler the rows are reported
-     as skipped, never failed. *)
-  (match Option.bind (J.field "native" baseline) J.arr with
-  | None -> ()
-  | Some rows -> (
-      match Native.Toolchain.probe () with
-      | Error e ->
-          Fmt.epr "  baseline has native rows but %s — skipping@."
-            (Native.Toolchain.describe_error e)
-      | Ok _ ->
-          Driver.with_data_dir None @@ fun cache_dir ->
-          let data = native_cube () in
-          List.iter
-            (fun row ->
-              match
-                ( Option.bind (J.field "prog" row) J.str,
-                  J.num_field row "native_ms" )
-              with
-              | Some prog, Some base_ms -> (
-                  match List.assoc_opt prog native_progs with
-                  | None ->
-                      Fmt.epr "  baseline native row %S unknown — skipping@."
-                        prog
-                  | Some src ->
-                      with_input data (fun dir ->
-                          (* first exec compiles; the timed reps hit the cache *)
-                          ignore (exec_native ~cache_dir ~dir src);
-                          let cur =
-                            wall ~reps:5 (fun () ->
-                                ignore (exec_native ~cache_dir ~dir src))
-                            *. 1000.
-                          in
-                          check ("native " ^ prog) ~baseline_ms:base_ms
-                            ~current_ms:cur))
-              | _ -> ())
-            rows));
-  (* C13 rows: re-run each baselined program through the warm
-     instrumented path (`mmc profile --native` machinery) and gate its
-     wall time; skipped without a C compiler. *)
-  (match Option.bind (J.field "native_profile" baseline) J.arr with
-  | None -> ()
-  | Some rows -> (
-      match Native.Toolchain.probe () with
-      | Error e ->
-          Fmt.epr "  baseline has native_profile rows but %s — skipping@."
-            (Native.Toolchain.describe_error e)
-      | Ok _ ->
-          Driver.with_data_dir None @@ fun cache_dir ->
-          let data = native_cube () in
-          let srcs = native_profile_progs () in
-          List.iter
-            (fun row ->
-              match
-                ( Option.bind (J.field "prog" row) J.str,
-                  J.num_field row "instrumented_ms" )
-              with
-              | Some prog, Some base_ms -> (
-                  match List.assoc_opt prog srcs with
-                  | Some (Some src) ->
-                      with_input data (fun dir ->
-                          (* first run compiles; the timed reps hit the
-                             instrumented cache slot *)
-                          ignore (profile_native_once ~cache_dir ~dir src);
-                          let cur =
-                            wall_min ~reps:7 (fun () ->
-                                ignore
-                                  (profile_native_once ~cache_dir ~dir src))
-                            *. 1000.
-                          in
-                          check
-                            ("native-profile " ^ prog)
-                            ~baseline_ms:base_ms ~current_ms:cur)
-                  | _ ->
-                      Fmt.epr
-                        "  baseline native_profile row %S unavailable — \
-                         skipping@."
-                        prog)
-              | _ -> ())
-            rows));
-  (* C14 rows: re-run each baselined program with runtime guards on the
-     warm guarded cache slot and gate its wall time; skipped without a C
-     compiler. *)
-  (match Option.bind (J.field "native_guards" baseline) J.arr with
-  | None -> ()
-  | Some rows -> (
-      match Native.Toolchain.probe () with
-      | Error e ->
-          Fmt.epr "  baseline has native_guards rows but %s — skipping@."
-            (Native.Toolchain.describe_error e)
-      | Ok _ ->
-          Driver.with_data_dir None @@ fun cache_dir ->
-          let data = native_cube () in
-          let srcs = native_profile_progs () in
-          List.iter
-            (fun row ->
-              match
-                ( Option.bind (J.field "prog" row) J.str,
-                  J.num_field row "guards_ms" )
-              with
-              | Some prog, Some base_ms -> (
-                  match List.assoc_opt prog srcs with
-                  | Some (Some src) ->
-                      with_input data (fun dir ->
-                          (* first run compiles; the timed reps hit the
-                             guarded cache slot *)
-                          ignore (exec_native_guards ~cache_dir ~dir src);
-                          let cur =
-                            wall_min ~reps:7 (fun () ->
-                                ignore
-                                  (exec_native_guards ~cache_dir ~dir src))
-                            *. 1000.
-                          in
-                          check
-                            ("native-guards " ^ prog)
-                            ~baseline_ms:base_ms ~current_ms:cur)
-                  | _ ->
-                      Fmt.epr
-                        "  baseline native_guards row %S unavailable — \
-                         skipping@."
-                        prog)
-              | _ -> ())
-            rows));
+  let data = native_cube () in
+  List.iter
+    (fun kind ->
+      match Option.bind (J.field kind.section baseline) J.arr with
+      | None -> ()
+      | Some rows -> (
+          match Native.Toolchain.probe () with
+          | Error e ->
+              Fmt.epr "  baseline has %s rows but %s — skipping@."
+                kind.section
+                (Native.Toolchain.describe_error e)
+          | Ok _ ->
+              Driver.with_data_dir None @@ fun cache_dir ->
+              List.iter
+                (fun row ->
+                  match
+                    ( Option.bind (J.field "prog" row) J.str,
+                      J.num_field row kind.field )
+                  with
+                  | Some prog, Some baseline_ms -> (
+                      match List.assoc_opt prog kind.progs with
+                      | Some (Some src) ->
+                          with_input data (fun dir ->
+                              let cur =
+                                measure (fun () -> kind.run ~cache_dir ~dir src)
+                              in
+                              let current_ms = cur.med *. 1000. in
+                              let ratio = current_ms /. baseline_ms in
+                              let bad = ratio > compare_threshold in
+                              if bad then incr failures;
+                              Fmt.pr
+                                "  %-28s baseline %9.2f ms   now %s ms   \
+                                 %5.2fx %s@."
+                                (String.map
+                                   (fun c -> if c = '_' then '-' else c)
+                                   kind.section
+                                ^ " " ^ prog)
+                                baseline_ms (ms cur) ratio
+                                (if bad then "REGRESSION" else "ok"))
+                      | _ ->
+                          Fmt.epr
+                            "  baseline %s row %S unavailable — skipping@."
+                            kind.section prog)
+                  | _ -> ())
+                rows))
+    native_kinds;
   if !failures > 0 then begin
-    Fmt.pr "@.%d row(s) regressed beyond %.0f%%.@." !failures
-      ((compare_threshold -. 1.) *. 100.);
+    Fmt.pr "@.%d row(s) regressed beyond %.0f%%.@." !failures pct;
     exit 1
   end
-  else Fmt.pr "@.no row regressed beyond %.0f%%.@."
-         ((compare_threshold -. 1.) *. 100.)
+  else Fmt.pr "@.no row regressed beyond %.0f%%.@." pct
 
-(* --- bench --check-profile-json: schema validator for `mmc profile --json` -------- *)
+(* --- bench --check-profile-json / --check-explain-json: schema validators -------- *)
 
-(* The structural contract itself lives in
-   [Driver.Profile_report.validate_json] — the same checker the test
-   suite applies to both the interpreter's and the native backend's
-   reports, so `mmc profile --json` and `mmc profile --native --json`
-   are held to one schema from one place.  This wrapper only adds file
-   IO and the exit-code protocol for `make profile-check`. *)
-let check_profile_json path =
+(* The structural contracts live in [Driver.Profile_report.validate_json]
+   and [Driver.Explain_report.validate_json] — the same checkers the test
+   suite applies, so `mmc profile --json` (interpreter and native) and
+   `mmc explain --json` are each held to one schema from one place.
+   This wrapper only adds file IO and the exit-code protocol for `make
+   profile-check` / `make explain-check`. *)
+let check_json ~what validate path =
   let module J = Support.Json in
   let problems =
-    try Driver.Profile_report.validate_json (J.parse_file path) with
+    try validate (J.parse_file path) with
     | Sys_error m -> [ Printf.sprintf "cannot read %s: %s" path m ]
     | J.Bad_json m -> [ Printf.sprintf "invalid JSON: %s" m ]
   in
   match problems with
   | [] ->
-      Fmt.pr "%s: profile JSON schema ok.@." path;
-      exit 0
-  | ps ->
-      List.iter (fun p -> Fmt.epr "%s: %s@." path p) ps;
-      exit 1
-
-(* --- bench --check-explain-json: schema validator for `mmc explain --json` -------- *)
-
-(* Same contract style as [check_profile_json]: every remark entry names
-   a known pass and kind, carries a span object with numeric fields and a
-   non-empty message; the counts object holds the three numeric tallies
-   per pass. *)
-let check_explain_json path =
-  let module J = Support.Json in
-  let problems = ref [] in
-  let bad fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
-  let known_passes = [ "fuse"; "copy-elim"; "auto-par"; "rc"; "transform" ] in
-  let known_kinds = [ "applied"; "missed"; "skipped" ] in
-  (try
-     let j = J.parse_file path in
-     (match Option.bind (J.field "remarks" j) J.arr with
-     | None -> bad "top-level: missing array \"remarks\""
-     | Some remarks ->
-         List.iteri
-           (fun i r ->
-             let ctx = Printf.sprintf "remarks[%d]" i in
-             (match Option.bind (J.field "pass" r) J.str with
-             | Some p when List.mem p known_passes -> ()
-             | Some p -> bad "%s: unknown pass %S" ctx p
-             | None -> bad "%s: missing string \"pass\"" ctx);
-             (match Option.bind (J.field "kind" r) J.str with
-             | Some k when List.mem k known_kinds -> ()
-             | Some k -> bad "%s: unknown kind %S" ctx k
-             | None -> bad "%s: missing string \"kind\"" ctx);
-             (match Option.bind (J.field "message" r) J.str with
-             | Some m when String.length m > 0 -> ()
-             | Some _ -> bad "%s: empty message" ctx
-             | None -> bad "%s: missing string \"message\"" ctx);
-             (match J.field "span" r with
-             | Some span ->
-                 List.iter
-                   (fun name ->
-                     if J.num_field span name = None then
-                       bad "%s: span missing number %S" ctx name)
-                   [ "line"; "col"; "end_line"; "end_col" ]
-             | None -> bad "%s: missing object \"span\"" ctx);
-             match J.field "details" r with
-             | Some (J.Obj _) | None -> ()
-             | Some _ -> bad "%s: \"details\" is not an object" ctx)
-           remarks);
-     match J.field "counts" j with
-     | None -> bad "top-level: missing object \"counts\""
-     | Some (J.Obj passes) ->
-         List.iter
-           (fun (pass, tallies) ->
-             if not (List.mem pass known_passes) then
-               bad "counts: unknown pass %S" pass;
-             List.iter
-               (fun k ->
-                 if J.num_field tallies k = None then
-                   bad "counts.%s: missing number %S" pass k)
-               known_kinds)
-           passes
-     | Some _ -> bad "top-level: \"counts\" is not an object"
-   with
-  | Sys_error m -> bad "cannot read %s: %s" path m
-  | J.Bad_json m -> bad "invalid JSON: %s" m);
-  match List.rev !problems with
-  | [] ->
-      Fmt.pr "%s: explain JSON schema ok.@." path;
+      Fmt.pr "%s: %s JSON schema ok.@." path what;
       exit 0
   | ps ->
       List.iter (fun p -> Fmt.epr "%s: %s@." path p) ps;
@@ -1039,7 +841,7 @@ let check_explain_json path =
 
 (* Smoke mode: one spawn-per-region run and one tiny pool region, the
    two sides of C5 (keeps [Pool.naive_parallel_for], the C5 baseline,
-   exercised). *)
+   exercised), then [measure] and [verdict] on both sides. *)
 let smoke_check () =
   let covers name run =
     let sink = Array.make 1_000 (-1) in
@@ -1052,6 +854,19 @@ let smoke_check () =
   covers "C5 pool region" (fun body ->
       Runtime.Pool.with_pool 2 (fun pool ->
           Runtime.Pool.parallel_for pool 0 1_000 body));
+  let sink = Array.make 1_000 0 in
+  let body i = sink.(i) <- i in
+  let pool = pool_side ~reps:3 ~regions:1 ~work:1_000 ~body 2 in
+  let spawn = spawn_side ~reps:3 ~regions:1 ~work:1_000 ~body 2 in
+  let sane s =
+    List.for_all Float.is_finite [ s.q1; s.med; s.q3 ]
+    && s.q1 <= s.med && s.med <= s.q3
+  in
+  let ok = sane pool && sane spawn in
+  Fmt.pr "  measure smoke: pool %s, spawn %s, spawn/pool %s: %s@."
+    (per_call pool) (per_call spawn) (verdict spawn pool)
+    (if ok then "ok" else "FAIL");
+  if not ok then exit 1;
   Fmt.pr "@.smoke ok.@."
 
 (* Value of a "--flag FILE" pair on the command line. *)
@@ -1066,12 +881,12 @@ let flag_value name =
   !r
 
 let () =
-  (match flag_value "--check-profile-json" with
-  | Some path -> check_profile_json path
-  | None -> ());
-  (match flag_value "--check-explain-json" with
-  | Some path -> check_explain_json path
-  | None -> ());
+  Option.iter
+    (check_json ~what:"profile" Driver.Profile_report.validate_json)
+    (flag_value "--check-profile-json");
+  Option.iter
+    (check_json ~what:"explain" (Driver.Explain_report.validate_json c_full))
+    (flag_value "--check-explain-json");
   (match flag_value "--compare" with
   | Some path ->
       bench_compare path;

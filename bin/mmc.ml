@@ -832,12 +832,12 @@ let explain_cmd =
             String.split_on_char ',' s |> List.map String.trim
             |> List.filter (fun p -> p <> "")
           in
+          let stages = Driver.snapshot_stages c in
           List.iter
             (fun p ->
-              if not (List.mem p ("all" :: Cir.Snapshot.known_passes)) then begin
+              if not (List.mem p ("all" :: stages)) then begin
                 Fmt.epr "mmc: unknown --dump-ir pass %S (available: %s, all)@."
-                  p
-                  (String.concat ", " Cir.Snapshot.known_passes);
+                  p (String.concat ", " stages);
                 raise (Fatal 2)
               end)
             ps;

@@ -14,11 +14,9 @@
     on (falling back to a plain before/after dump above
     {!max_diff_lines}, since the LCS diff is O(n·m) in lines).
 
-    Pass names, in default pipeline order: ["lower"] (the baseline, no
-    optimizations), ["fuse"], ["copy-elim"], ["auto-par"], ["transform"]
-    (one snapshot per applied clause). *)
-
-let known_passes = [ "lower"; "fuse"; "copy-elim"; "auto-par"; "transform" ]
+    Snapshot names are ["lower"] (the baseline, no optimizations) and
+    the registered pass names, listed by [Driver.snapshot_stages]; the
+    transform pass records one snapshot per applied clause. *)
 
 type entry = {
   pass : string;
@@ -38,14 +36,8 @@ type sink = {
   mutable entries : entry list;  (** newest first *)
 }
 
-(** [create ~passes ~diff ()] — a fresh sink capturing the given passes
-    ("all" selects every known pass). *)
-let create ~passes ~diff () =
-  {
-    passes = (if List.mem "all" passes then known_passes else passes);
-    diff;
-    entries = [];
-  }
+(** [create ~passes ~diff ()] — a fresh sink capturing the given passes. *)
+let create ~passes ~diff () = { passes; diff; entries = [] }
 
 let wants sink pass = List.mem pass sink.passes
 

@@ -339,6 +339,18 @@ let runtime_failure_diag exn =
       d (Printf.sprintf "reference count of matrix cell #%d went negative" id)
   | _ -> None
 
+(** [remove_tree path] — delete [path] and, for a directory, everything
+    under it; best effort (a [Sys_error] stops it silently). *)
+let remove_tree path =
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  try remove path with Sys_error _ -> ()
+
 (** [with_data_dir dir k] — run [k] in the program's data directory:
     [dir] as given, or a fresh temporary directory removed afterwards on
     every exit path — recursively, since programs writeMatrix into it. *)
@@ -349,18 +361,7 @@ let with_data_dir dir k =
       let d = Filename.temp_file "mmcfs" "" in
       Sys.remove d;
       Sys.mkdir d 0o755;
-      let rec remove path =
-        if Sys.is_directory path then begin
-          Array.iter
-            (fun f -> remove (Filename.concat path f))
-            (Sys.readdir path);
-          Sys.rmdir path
-        end
-        else Sys.remove path
-      in
-      Fun.protect
-        ~finally:(fun () -> try remove d with Sys_error _ -> ())
-        (fun () -> k d)
+      Fun.protect ~finally:(fun () -> remove_tree d) (fun () -> k d)
 
 (** [run c src args] — compile and execute on the parallel runtime.
     [pool] supplies the enhanced fork-join worker pool; [dir] hosts the
@@ -880,10 +881,77 @@ module Explain_report = struct
 
   let to_string ?src t = Fmt.str "%a" (pp ?src) t
 
-  (** Machine-readable report; schema checked by
-      [bench --check-explain-json]. *)
+  (** Machine-readable report; schema checked by {!validate_json}. *)
   let to_json t = Support.Remark.to_json t.remarks
+
+  (** The passes that can remark on a pipeline over [c]: every
+      registered pass, then the always-appended rc report. *)
+  let passes (c : composed) =
+    Pipeline.known (default_config c) @ [ Cir.Pass.rc_report.Cir.Pass.name ]
+
+  (** Schema check for {!to_json} output of a pipeline over [c] (shared
+      by [bench --check-explain-json] and the explain tests): every
+      remark names one of {!passes} and a known kind, carries a span
+      object with numeric fields and a non-empty message; the counts
+      object holds the three numeric tallies per pass.  Returns the list
+      of problems, empty when the document conforms. *)
+  let validate_json (c : composed) (j : Support.Json.t) : string list =
+    let module J = Support.Json in
+    let problems = ref [] in
+    let bad fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
+    let passes = passes c in
+    let kinds = [ "applied"; "missed"; "skipped" ] in
+    (match Option.bind (J.field "remarks" j) J.arr with
+    | None -> bad "top-level: missing array \"remarks\""
+    | Some remarks ->
+        List.iteri
+          (fun i r ->
+            let ctx = Printf.sprintf "remarks[%d]" i in
+            (match Option.bind (J.field "pass" r) J.str with
+            | Some p when List.mem p passes -> ()
+            | Some p -> bad "%s: unknown pass %S" ctx p
+            | None -> bad "%s: missing string \"pass\"" ctx);
+            (match Option.bind (J.field "kind" r) J.str with
+            | Some k when List.mem k kinds -> ()
+            | Some k -> bad "%s: unknown kind %S" ctx k
+            | None -> bad "%s: missing string \"kind\"" ctx);
+            (match Option.bind (J.field "message" r) J.str with
+            | Some m when String.length m > 0 -> ()
+            | Some _ -> bad "%s: empty message" ctx
+            | None -> bad "%s: missing string \"message\"" ctx);
+            (match J.field "span" r with
+            | Some span ->
+                List.iter
+                  (fun name ->
+                    if J.num_field span name = None then
+                      bad "%s: span missing number %S" ctx name)
+                  [ "line"; "col"; "end_line"; "end_col" ]
+            | None -> bad "%s: missing object \"span\"" ctx);
+            match J.field "details" r with
+            | Some (J.Obj _) | None -> ()
+            | Some _ -> bad "%s: \"details\" is not an object" ctx)
+          remarks);
+    (match J.field "counts" j with
+    | None -> bad "top-level: missing object \"counts\""
+    | Some (J.Obj counts) ->
+        List.iter
+          (fun (pass, tallies) ->
+            if not (List.mem pass passes) then
+              bad "counts: unknown pass %S" pass;
+            List.iter
+              (fun k ->
+                if J.num_field tallies k = None then
+                  bad "counts.%s: missing number %S" pass k)
+              kinds)
+          counts
+    | Some _ -> bad "top-level: \"counts\" is not an object");
+    List.rev !problems
 end
+
+(** Every stage [--dump-ir] can capture for [c]: the baseline lowering,
+    then each registered pass, in registration order. *)
+let snapshot_stages (c : composed) =
+  "lower" :: Pipeline.known (default_config c)
 
 (** The default pipeline for the tracing/measuring entry points
     ({!explain}, {!profile}, {!profile_native}): auto-parallelization on —
@@ -894,7 +962,8 @@ let explain_config (c : composed) : Pipeline.config =
 
 (** [explain ?… c src] — compile [src] with remark collection on and
     return (lowering outcome, report).  [dump_passes]/[ir_diff] drive the
-    pass-by-pass IR snapshots: the program is lowered exactly once and the
+    pass-by-pass IR snapshots (["all"] selects every
+    {!snapshot_stages}): the program is lowered exactly once and the
     pass manager records each requested ["ir after <pass>"] snapshot as
     the pipeline reaches that stage (the transform pass records its own
     per-clause snapshots into the same sink). *)
@@ -904,7 +973,10 @@ let explain ?config ?(dump_passes = []) ?(ir_diff = false) ?warn
   let cfg = match config with Some cfg -> cfg | None -> explain_config c in
   Support.Remark.reset ();
   Support.Remark.set_enabled true;
-  let sink = Cir.Snapshot.create ~passes:dump_passes ~diff:ir_diff () in
+  let passes =
+    if List.mem "all" dump_passes then snapshot_stages c else dump_passes
+  in
+  let sink = Cir.Snapshot.create ~passes ~diff:ir_diff () in
   match frontend c src with
   | Failed d -> (Failed d, Explain_report.collect ~sink ())
   | Ok_ ast ->

@@ -208,7 +208,10 @@ static void mm_prof_record_fold(long long self) {
 /* Move up to [want] ns of self time from row [from] (whose self absorbed
  * a skipped span's executions) to row [to]'s pending extrapolation.
  * Capping at what [from] holds keeps the attributed total conserved when
- * the frozen average overestimates the skipped executions. */
+ * the frozen average overestimates the skipped executions.  The moved
+ * time also leaves [from]'s folded stacks — the entries ending in it,
+ * then the frozen self still to be credited to its hot path, each
+ * clamped at 0 — since mm_prof_stop credits it to [to]'s hot path. */
 static void mm_prof_move_self(mm_prof_row *from, mm_prof_row *to,
                               long long want) {
   long long moved = want < from->self_ns ? want : from->self_ns;
@@ -216,6 +219,15 @@ static void mm_prof_move_self(mm_prof_row *from, mm_prof_row *to,
   from->self_ns -= moved;
   from->seq_ns = from->seq_ns > moved ? from->seq_ns - moved : 0;
   to->moved_ns += moved;
+  int id = (int)(from - mm_prof_rows);
+  for (int e = 0; moved > 0 && e < mm_prof_nfolds; e++) {
+    mm_prof_fold *fd = &mm_prof_folds[e];
+    if (fd->ids[fd->depth - 1] != id) continue;
+    long long take = moved < fd->self_ns ? moved : fd->self_ns;
+    fd->self_ns -= take;
+    moved -= take;
+  }
+  from->frozen_self = from->frozen_self > moved ? from->frozen_self - moved : 0;
 }
 
 /* Close the top frame, charging self = total - child to its row and the

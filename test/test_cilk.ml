@@ -92,9 +92,7 @@ int main() {
 }
 |}
   in
-  let dir = Filename.temp_file "mmcilk" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+  Tmp.with_dir @@ fun dir ->
   Runtime.Rc.reset ();
   ignore (run_ok ~dir src);
   Alcotest.(check int) "no leaks" 0 (Runtime.Rc.live_count ());

@@ -376,9 +376,7 @@ let test_ir_diff_marks_promotion () =
 let mmc_exe = Filename.concat (Filename.concat ".." "bin") "mmc.exe"
 
 let with_prog src k =
-  let dir = Filename.temp_file "mmcexplain" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+  Tmp.with_dir @@ fun dir ->
   let prog = Filename.concat dir "prog.mc" in
   Out_channel.with_open_text prog (fun oc -> output_string oc src);
   k dir prog
@@ -394,6 +392,9 @@ let test_cli_explain_json () =
     in
     Alcotest.(check int) "mmc explain exits 0" 0 (Sys.command cmd);
     let j = J.parse_file out in
+    Alcotest.(check (list string))
+      "explain JSON passes the shared validator" []
+      (Driver.Explain_report.validate_json all4 j);
     (match Option.bind (J.field "remarks" j) J.arr with
     | Some rs ->
         Alcotest.(check bool) "remarks present" true (List.length rs >= 5)
@@ -404,7 +405,7 @@ let test_cli_explain_json () =
         match J.field pass counts with
         | Some _ -> ()
         | None -> Alcotest.failf "counts lacks pass %s" pass)
-      [ "fuse"; "copy-elim"; "auto-par"; "rc"; "transform" ]
+      (Driver.Explain_report.passes all4)
 
 let test_cli_explain_only_filter () =
   if not (Sys.file_exists mmc_exe) then Alcotest.skip ()

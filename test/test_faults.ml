@@ -63,12 +63,6 @@ let quiet_degrade f =
   Pool.on_degrade := ignore;
   Fun.protect ~finally:(fun () -> Pool.on_degrade := saved) f
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmfault" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -317,7 +311,7 @@ let test_read_matrix_missing () =
 
 let test_read_matrix_truncated () =
   hygiene "readMatrix truncated" @@ fun () ->
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   let path = Filename.concat dir "trunc.data" in
   Nd.write_file path (Nd.init_float [| 6; 7 |] (fun ix -> float_of_int ix.(1)));
   let whole = In_channel.with_open_bin path In_channel.input_all in
@@ -330,7 +324,7 @@ let test_read_matrix_truncated () =
 
 let test_read_matrix_garbage () =
   hygiene "readMatrix garbage" @@ fun () ->
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   let bad_magic = Filename.concat dir "junk.data" in
   Out_channel.with_open_bin bad_magic (fun oc ->
       Out_channel.output_string oc "JUNKJUNKJUNKJUNK");
@@ -358,7 +352,7 @@ let test_read_matrix_garbage () =
 
 let test_read_matrix_in_program () =
   hygiene "readMatrix in program" @@ fun () ->
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   (* the program's "bad.data" resolves to <dir>/bad.data; plant a
      truncated file there *)
   let path = Filename.concat dir "bad.data" in
@@ -446,7 +440,7 @@ let test_fault_matrix () =
   in
   let src = Eddy.Programs.fig1_temporal_mean in
   let run_case ?pool () =
-    let dir = fresh_dir () in
+    Tmp.with_dir @@ fun dir ->
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Rc.reset ();
     let outcome = Driver.run ~dir ?pool ~config:(Driver.explain_config full) full src [] in
@@ -509,7 +503,7 @@ let test_eddy_degraded_acceptance () =
   in
   let src = Eddy.Programs.fig4_conncomp in
   let run_case ?pool () =
-    let dir = fresh_dir () in
+    Tmp.with_dir @@ fun dir ->
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Interp.Eval.provide_input ~dir "dates.data" dates;
     Rc.reset ();

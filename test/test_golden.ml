@@ -229,9 +229,7 @@ let test_reorder_native_matches_interp () =
     | Driver.Failed ds ->
         Alcotest.failf "interp failed: %s" (Driver.diags_to_string ds)
   in
-  let dir = Filename.temp_file "mmgolden" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+  Tmp.with_dir @@ fun dir ->
   match Driver.exec ~config ~dir ~cache_dir:dir all4 reorder_src with
   | Driver.Ok_ o ->
       Alcotest.(check string) "native value = interp value" iv
@@ -273,9 +271,7 @@ let mmc_exe = Filename.concat (Filename.concat ".." "bin") "mmc.exe"
 let test_cli_unknown_pass_diagnostic () =
   if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
   else begin
-    let dir = Filename.temp_file "mmgolden" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
+    Tmp.with_dir @@ fun dir ->
     let prog = Filename.concat dir "prog.mc" in
     Out_channel.with_open_text prog (fun oc ->
         output_string oc "int main() { return 0; }\n");

@@ -12,12 +12,6 @@ let nd = Alcotest.testable Nd.pp Nd.equal
 
 let full = Driver.compose [ Driver.matrix; Driver.transform; Driver.refptr ]
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmkern" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 (* --- pool scheduling edge cases -------------------------------------------------- *)
 
 (* Every index visited exactly once over a spread of bounds (including
@@ -124,7 +118,7 @@ let eddy_inputs =
      (cube, dates))
 
 let run_differential ?pool ~inputs ~outputs src =
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   List.iter (fun (name, m) -> Interp.Eval.provide_input ~dir name m) inputs;
   Runtime.Rc.reset ();
   (match Driver.run ~dir ?pool ~config:(Driver.explain_config full) full src [] with

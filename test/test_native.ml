@@ -20,15 +20,9 @@ let is_infix ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmnat" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 (* One cache for the whole suite: after the first case compiles a corpus
    program, later cases re-running it hit the cache instead of cc. *)
-let suite_cache = lazy (fresh_dir ())
+let suite_cache = lazy (Tmp.suite_dir ())
 
 let ensure_cc () =
   match Native.Toolchain.probe () with
@@ -56,7 +50,7 @@ let rec value_eq (i : Interp.Eval.value) (n : Native.Exec.value) =
 let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
     ?(threads = 1) ?(cflags = []) ~name ~inputs ~outputs src =
   ignore (ensure_cc ());
-  let dir_i = fresh_dir () and dir_n = fresh_dir () in
+  Tmp.with_dir @@ fun dir_i -> Tmp.with_dir @@ fun dir_n ->
   List.iter
     (fun (p, m) ->
       Interp.Eval.provide_input ~dir:dir_i p m;
@@ -179,8 +173,7 @@ let test_inplace_slice_reads () =
   List.iter
     (fun (name, src, expected, _) ->
       match
-        Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
-          full src
+        Driver.exec ~cache_dir:(Lazy.force suite_cache) full src
       with
       | Driver.Ok_ { Native.Exec.value = Native.Exec.RScal (S.I n); live; _ } ->
           Alcotest.(check int) (name ^ ": native result") expected n;
@@ -199,7 +192,7 @@ let test_exec_leaves_no_temp_dir () =
   ignore (ensure_cc ());
   let cache_dir = Lazy.force suite_cache in
   let src = example "eddy_energy.mc" in
-  let tmp = fresh_dir () in
+  Tmp.with_dir @@ fun tmp ->
   let saved = Filename.get_temp_dir_name () in
   Filename.set_temp_dir_name tmp;
   let result =
@@ -211,8 +204,7 @@ let test_exec_leaves_no_temp_dir () =
   | Driver.Ok_ _ -> ()
   | Driver.Failed ds ->
       Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds));
-  Alcotest.(check (array string)) "temp root left empty" [||] (Sys.readdir tmp);
-  Sys.rmdir tmp
+  Alcotest.(check (array string)) "temp root left empty" [||] (Sys.readdir tmp)
 
 (* --- result-protocol shapes --------------------------------------------- *)
 
@@ -320,7 +312,7 @@ let exec_eddy ?cflags ?cache_dir () =
 
 let test_cache_hit_on_rerun () =
   ignore (ensure_cc ());
-  let cache_dir = fresh_dir () in
+  Tmp.with_dir @@ fun cache_dir ->
   Native.Cache.reset_counts ();
   let first = exec_eddy ~cache_dir () in
   Alcotest.(check bool) "first run compiles" false first.Native.Exec.from_cache;
@@ -334,7 +326,7 @@ let test_cache_hit_on_rerun () =
 
 let test_cache_invalidation_on_flag_change () =
   ignore (ensure_cc ());
-  let cache_dir = fresh_dir () in
+  Tmp.with_dir @@ fun cache_dir ->
   let first = exec_eddy ~cache_dir () in
   let changed = exec_eddy ~cache_dir ~cflags:[ "-DMM_SALT=1" ] () in
   Alcotest.(check bool) "changed flags recompile" false
@@ -351,7 +343,7 @@ let test_cache_gauge_exported () =
   Support.Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
   @@ fun () ->
-  let cache_dir = fresh_dir () in
+  Tmp.with_dir @@ fun cache_dir ->
   ignore (exec_eddy ~cache_dir ());
   ignore (exec_eddy ~cache_dir ());
   let gauge n =
@@ -367,9 +359,10 @@ let test_cache_gauge_exported () =
 let test_missing_compiler_graceful () =
   (* Needs no real compiler: a nonexistent one must produce a structured
      diagnostic, not an exception or a crash. *)
+  Tmp.with_dir @@ fun cache_dir ->
   match
-    Driver.exec ~cc:"mmc-definitely-not-a-compiler"
-      ~cache_dir:(fresh_dir ()) full "int main() { return 3; }"
+    Driver.exec ~cc:"mmc-definitely-not-a-compiler" ~cache_dir full
+      "int main() { return 3; }"
   with
   | Driver.Ok_ _ -> Alcotest.fail "expected a missing-compiler failure"
   | Driver.Failed ds ->
@@ -385,7 +378,7 @@ let test_runtime_failure_taxonomy () =
      message, which must come back as a native-run diagnostic naming the
      file — mirroring the interpreter's readMatrix diagnostic. *)
   match
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) full
+    Driver.exec ~cache_dir:(Lazy.force suite_cache) full
       Eddy.Programs.fig1_temporal_mean
   with
   | Driver.Ok_ _ -> Alcotest.fail "expected a runtime failure"
@@ -400,9 +393,9 @@ let test_runtime_failure_taxonomy () =
 
 let test_keep_c_standalone_recompile () =
   let tc = ensure_cc () in
-  let keep_dir = fresh_dir () in
+  Tmp.with_dir @@ fun keep_dir ->
   let keep_c = Filename.concat keep_dir "prog.c" in
-  let data_dir = fresh_dir () in
+  Tmp.with_dir @@ fun data_dir ->
   let o =
     match
       Driver.exec ~dir:data_dir ~keep_c ~cache_dir:(Lazy.force suite_cache)
@@ -429,7 +422,7 @@ let test_keep_c_standalone_recompile () =
   | Error e ->
       Alcotest.failf "standalone recompile failed: %s"
         (Native.Toolchain.describe_error e));
-  let out = Filename.temp_file "mmnat" ".out" in
+  let out = Filename.concat keep_dir "stdout.txt" in
   let code =
     Sys.command
       (Printf.sprintf "cd %s && %s > %s" (Filename.quote data_dir)
@@ -437,7 +430,6 @@ let test_keep_c_standalone_recompile () =
   in
   Alcotest.(check int) "standalone binary exits 0" 0 code;
   let text = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
   match Native.Exec.parse_output text with
   | Ok (v, live) ->
       Alcotest.(check bool) "standalone result identical" true
@@ -451,7 +443,7 @@ let test_keep_c_standalone_recompile () =
 
 let test_corpus_compiles_werror () =
   let tc = ensure_cc () in
-  let build = fresh_dir () in
+  Tmp.with_dir @@ fun build ->
   let werror = { tc with Native.Toolchain.cflags = [ "-Werror" ] } in
   List.iteri
     (fun i (name, src) ->

@@ -38,15 +38,9 @@ let with_telemetry f =
       T.reset ())
     f
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmnfault" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 (* One binary cache for the whole suite: the fault matrix reuses two
    compiles (guards off/on) across its sixteen cells. *)
-let suite_cache = lazy (fresh_dir ())
+let suite_cache = lazy (Tmp.suite_dir ())
 
 let ensure_cc () =
   match Native.Toolchain.probe () with
@@ -165,7 +159,7 @@ let test_guard_oob_caret () =
   with_deadline "guard oob" @@ fun () ->
   ignore (ensure_cc ());
   let outcome =
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+    Driver.exec ~cache_dir:(Lazy.force suite_cache)
       ~guards:true full oob_src
   in
   let text = failed_text ~src:oob_src outcome in
@@ -186,7 +180,7 @@ let test_oob_unguarded_structured () =
   with_deadline "oob unguarded" @@ fun () ->
   ignore (ensure_cc ());
   match
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache) full
+    Driver.exec ~cache_dir:(Lazy.force suite_cache) full
       oob_src
   with
   | Driver.Ok_ _ -> ()
@@ -210,7 +204,7 @@ let test_failpoint_alloc_diag () =
   with_deadline "native.alloc failpoint" @@ fun () ->
   ignore (ensure_cc ());
   let outcome =
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+    Driver.exec ~cache_dir:(Lazy.force suite_cache)
       ~failpoints:"native.alloc@1" full genarray_src
   in
   let text = failed_text ~src:genarray_src outcome in
@@ -227,7 +221,7 @@ let test_failpoint_crash_span_with_guards () =
   with_deadline "failpoint crash span" @@ fun () ->
   ignore (ensure_cc ());
   let outcome =
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+    Driver.exec ~cache_dir:(Lazy.force suite_cache)
       ~guards:true ~failpoints:"native.alloc@1" full genarray_src
   in
   let text = failed_text ~src:genarray_src outcome in
@@ -240,7 +234,7 @@ let test_failpoint_crash_span_with_guards () =
 let test_failpoint_read_matrix_diag () =
   with_deadline "native.io.read_matrix failpoint" @@ fun () ->
   ignore (ensure_cc ());
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   let cube =
     Nd.init_float [| 2; 3; 4 |] (fun ix ->
         float_of_int ((ix.(0) * 5) + ix.(1) + ix.(2)))
@@ -275,7 +269,7 @@ let test_supervisor_timeout_kill () =
   ignore (ensure_cc ());
   let t0 = Unix.gettimeofday () in
   let outcome =
-    Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+    Driver.exec ~cache_dir:(Lazy.force suite_cache)
       ~timeout_s:0.5 full spin_src
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -295,7 +289,7 @@ let test_timeout_telemetry () =
   ignore (ensure_cc ());
   with_telemetry @@ fun () ->
   (match
-     Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+     Driver.exec ~cache_dir:(Lazy.force suite_cache)
        ~timeout_s:0.5 full spin_src
    with
   | Driver.Ok_ _ -> Alcotest.fail "expected a timeout failure"
@@ -328,7 +322,7 @@ let test_sanitized_corpus_runs () =
           Alcotest.failf "probe failed: %s" (Native.Toolchain.describe_error e)
       | Ok _ -> (
           match
-            Driver.exec ~dir:(fresh_dir ()) ~cache_dir:(Lazy.force suite_cache)
+            Driver.exec ~cache_dir:(Lazy.force suite_cache)
               ~sanitize:mode full genarray_src
           with
           | Driver.Failed ds ->
@@ -352,7 +346,7 @@ let test_sanitized_corpus_runs () =
 let test_guarded_corpus_werror () =
   with_deadline ~secs:300 "guarded corpus -Werror" @@ fun () ->
   let tc = ensure_cc () in
-  let build = fresh_dir () in
+  Tmp.with_dir @@ fun build ->
   let werror = { tc with Native.Toolchain.cflags = [ "-Werror" ] } in
   List.iteri
     (fun i (name, src) ->
@@ -402,7 +396,7 @@ let test_native_fault_matrix () =
   in
   let src = Eddy.Programs.fig1_temporal_mean in
   let run_case ?failpoints ?(guards = false) ~threads () =
-    let dir = fresh_dir () in
+    Tmp.with_dir @@ fun dir ->
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     match
       Driver.exec ~dir ~config:(Driver.explain_config full)
@@ -469,7 +463,7 @@ let test_eddy_degraded_native_acceptance () =
   in
   let src = Eddy.Programs.fig4_conncomp in
   let run_case ?failpoints ~threads () =
-    let dir = fresh_dir () in
+    Tmp.with_dir @@ fun dir ->
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Interp.Eval.provide_input ~dir "dates.data" dates;
     match

@@ -16,14 +16,8 @@ module R = Driver.Profile_report
 
 let full = Driver.compose [ Driver.matrix; Driver.transform; Driver.refptr ]
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmnatp" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 (* One cache for the whole suite, like test_native's. *)
-let suite_cache = lazy (fresh_dir ())
+let suite_cache = lazy (Tmp.suite_dir ())
 
 let ensure_cc () =
   match Native.Toolchain.probe () with
@@ -72,7 +66,7 @@ let corpus () =
    OMP_NUM_THREADS=1: both record nested frames span by span). *)
 let both_profiles ~name ~inputs src : R.t * R.t * Native.Exec.outcome =
   ignore (ensure_cc ());
-  let dir_i = fresh_dir () and dir_n = fresh_dir () in
+  Tmp.with_dir @@ fun dir_i -> Tmp.with_dir @@ fun dir_n ->
   List.iter
     (fun (p, m) ->
       Interp.Eval.provide_input ~dir:dir_i p m;
@@ -184,7 +178,19 @@ let test_native_coverage () =
        (fun (r : P.row) -> r.P.r_alloc_bytes > 0)
        native_report.R.rows);
   Alcotest.(check bool) "native folded stacks non-empty" true
-    (R.folded_lines native_report <> [])
+    (R.folded_lines native_report <> []);
+  (* the interpreter's contract: folded self time is attributed time *)
+  let folded =
+    List.fold_left (fun acc (_, ns) -> acc + ns) 0 native_report.R.folded
+  in
+  let ratio =
+    float_of_int folded /. float_of_int native_report.R.attributed_ns
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "native folded self ns / attributed_ns = %.3f (within 1%%)"
+       ratio)
+    true
+    (Float.abs (ratio -. 1.) <= 0.01)
 
 (* --- the differential itself --------------------------------------------- *)
 
@@ -222,11 +228,11 @@ let test_diff_reports () =
 
 let test_cache_isolation () =
   ignore (ensure_cc ());
-  let cache_dir = fresh_dir () in
+  Tmp.with_dir @@ fun cache_dir ->
   let src = example "eddy_energy.mc" in
   let exec_plain () =
     match
-      Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache_dir full src
+      Driver.exec ~config:(Driver.default_config full) ~cache_dir full src
     with
     | Driver.Ok_ o -> o
     | Driver.Failed ds ->
@@ -234,7 +240,7 @@ let test_cache_isolation () =
   in
   let prof () =
     match
-      Driver.profile_native ~config:(Driver.default_config full) ~dir:(fresh_dir ()) ~cache_dir
+      Driver.profile_native ~config:(Driver.default_config full) ~cache_dir
         full src
     with
     | Driver.Ok_ (o, _) -> o
@@ -260,7 +266,7 @@ let test_exec_telemetry_gauges () =
   Fun.protect ~finally:(fun () -> Support.Telemetry.set_enabled false)
   @@ fun () ->
   (match
-     Driver.exec ~dir:(fresh_dir ()) ~config:(Driver.default_config full) ~cache:false
+     Driver.exec ~config:(Driver.default_config full) ~cache:false
        ~cache_dir:(Lazy.force suite_cache) full (example "eddy_energy.mc")
    with
   | Driver.Ok_ _ -> ()
@@ -289,10 +295,10 @@ let test_exec_telemetry_gauges () =
 
 let test_keep_c_instrumented_line_directives () =
   ignore (ensure_cc ());
-  let keep_dir = fresh_dir () in
+  Tmp.with_dir @@ fun keep_dir ->
   let keep = Filename.concat keep_dir "kept.c" in
   (match
-     Driver.profile_native ~config:(Driver.default_config full) ~dir:(fresh_dir ())
+     Driver.profile_native ~config:(Driver.default_config full)
        ~cache_dir:(Lazy.force suite_cache) ~keep_c:keep ~line_file:"prog.mc"
        full (example "eddy_energy.mc")
    with

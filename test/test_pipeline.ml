@@ -17,12 +17,6 @@ let full = Driver.compose [ Driver.matrix; Driver.transform; Driver.refptr ]
 let matrix_only = Driver.compose [ Driver.matrix ]
 let plain = Driver.compose []
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmtest" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 (* The default pipeline of [c] with the matrix passes switched as given
    (shared by the suites that toggle them). *)
 let pass_config c ~fuse ~copy_elim ~auto_par =
@@ -320,7 +314,7 @@ let oracle_mean c =
       !acc /. float_of_int sh.(2))
 
 let run_with_cube ?fuse ?auto_par ?pool ~c src cube out_name =
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   Interp.Eval.provide_input ~dir "ssh.data" cube;
   Runtime.Rc.reset ();
   ignore (run_ok ~c ~dir ?fuse ?auto_par ?pool src);
@@ -400,7 +394,7 @@ let test_fig4_run_vs_oracle () =
     Eddy.Ssh_gen.generate ~lat ~lon ~time ~n_eddies:2 ~seed:7 ()
   in
   let dates = Nd.init_int [| time |] (fun ix -> 1012000 + ix.(0)) in
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   Interp.Eval.provide_input ~dir "ssh.data" cube;
   Interp.Eval.provide_input ~dir "dates.data" dates;
   Runtime.Rc.reset ();
@@ -452,7 +446,7 @@ let test_slice_copy_elimination () =
     (Nd.approx_equal ~eps:1e-4 got (oracle_mean cube));
   (* optimized run performs fewer allocations than the unoptimized one *)
   let count_allocs ~copy_elim =
-    let dir = fresh_dir () in
+    Tmp.with_dir @@ fun dir ->
     Interp.Eval.provide_input ~dir "ssh.data" cube;
     Runtime.Rc.reset ();
     ignore
@@ -591,7 +585,7 @@ let mmc_exe = Filename.concat (Filename.concat ".." "bin") "mmc.exe"
 let test_cli_removes_temp_data_dir () =
   if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
   else begin
-    let tmp = fresh_dir () and work = fresh_dir () in
+    Tmp.with_dir @@ fun tmp -> Tmp.with_dir @@ fun work ->
     let write name src =
       let path = Filename.concat work name in
       Out_channel.with_open_text path (fun oc -> output_string oc src);
@@ -659,7 +653,7 @@ int main() {
 }
 |}
   in
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   Runtime.Rc.reset ();
   ignore (run_ok ~c:full ~dir src);
   Alcotest.(check int) "no leaks" 0 (Runtime.Rc.live_count ());
@@ -694,7 +688,7 @@ int main() {
 }
 |}
   in
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   Runtime.Rc.reset ();
   ignore (run_ok ~c:full ~dir src);
   Alcotest.(check int) "no leaks" 0 (Runtime.Rc.live_count ());
@@ -762,7 +756,7 @@ int main() {
 }
 |}
   in
-  let dir = fresh_dir () in
+  Tmp.with_dir @@ fun dir ->
   ignore (run_ok ~c:full ~dir src);
   let m = Interp.Eval.fetch_output ~dir "m.data" in
   Alcotest.(check (array int)) "shape" [| 4; 4 |] (Nd.shape m);

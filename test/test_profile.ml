@@ -316,9 +316,7 @@ let mmc_exe = Filename.concat (Filename.concat ".." "bin") "mmc.exe"
 let test_cli_profile_json () =
   if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
   else begin
-    let dir = Filename.temp_file "mmcprof" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
+    Tmp.with_dir @@ fun dir ->
     let prog = Filename.concat dir "eddy.mc" in
     Out_channel.with_open_text prog (fun oc -> output_string oc eddy_src);
     let out = Filename.concat dir "profile.json" in
@@ -359,9 +357,7 @@ let test_cli_profile_json () =
 let test_cli_emit_line_directives () =
   if not (Sys.file_exists mmc_exe) then Alcotest.skip ()
   else begin
-    let dir = Filename.temp_file "mmcline" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
+    Tmp.with_dir @@ fun dir ->
     let prog = Filename.concat dir "eddy.mc" in
     Out_channel.with_open_text prog (fun oc -> output_string oc eddy_src);
     let out = Filename.concat dir "out.c" in

@@ -11,12 +11,6 @@ let all4 =
   Driver.compose
     [ Driver.matrix; Driver.transform; Driver.refptr; Driver.cilk ]
 
-let fresh_dir () =
-  let d = Filename.temp_file "mmprog" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 let run_scalar ?pool src expect =
   Runtime.Rc.reset ();
   (match Driver.run ?pool all4 src [] with
@@ -376,5 +370,3 @@ let suite =
       test_all_paper_programs_emit;
     QCheck_alcotest.to_alcotest prop_random_genarray_fold;
   ]
-
-let _ = fresh_dir

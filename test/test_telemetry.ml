@@ -141,7 +141,8 @@ let test_pipeline_spans () =
 (* --- Chrome trace export --------------------------------------------------------- *)
 
 let test_chrome_trace_wellformed () =
-  let path = Filename.temp_file "mmtrace" ".json" in
+  Tmp.with_dir @@ fun dir ->
+  let path = Filename.concat dir "trace.json" in
   with_telemetry (fun () ->
       ignore
         (T.with_span ~phase:"test" "alpha" (fun () ->
@@ -150,7 +151,6 @@ let test_chrome_trace_wellformed () =
       T.set_gauge "test.gauge" 3.5;
       T.write_chrome_trace path);
   let text = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
   let j = parse_json text in
   let events =
     match obj_field "traceEvents" j with
@@ -304,9 +304,7 @@ let test_cli_stats_and_trace () =
   if not (Sys.file_exists mmc_exe) then
     Alcotest.skip ()
   else begin
-    let dir = Filename.temp_file "mmcli" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
+    Tmp.with_dir @@ fun dir ->
     let prog = Filename.concat dir "prog.xc" in
     Out_channel.with_open_text prog (fun oc ->
         output_string oc
