@@ -13,6 +13,8 @@
      C7  composition cost and the composability analyses (§VI)
      C11-C14  remarks, native execution, native profiling and guard
          overhead; the native rows are exported to BENCH_kernels.json
+     C15 per-process fixed cost: compose and its compose.* split, and
+         the process wall of `mmc emit` and warm `mmc exec`
 
    Every timing goes through [measure]: one warmup call, then repeated
    timed calls summarised as median and quartiles, printed as
@@ -21,8 +23,9 @@
    of the two interquartile ranges, and the ratio of medians otherwise.
    Results are summarised against the paper's claims in EXPERIMENTS.md.
 
-   [--smoke] runs a spawn-per-region sanity check, a tiny C5 pool region
-   and [measure]/[verdict] on both (seconds, no JSON output) — the target
+   [--smoke] runs a spawn-per-region sanity check, a tiny C5 pool region,
+   [measure]/[verdict] on both and C15 at 3 repeats (seconds, no timing
+   gate, no JSON output) — the target
    `make check` invokes so the perf plumbing cannot bit-rot silently. *)
 
 module Nd = Runtime.Ndarray
@@ -34,29 +37,33 @@ let cores = Domain.recommended_domain_count ()
 (* Seconds per call. *)
 type stat = { med : float; q1 : float; q3 : float }
 
+(* Median and quartiles of [samples] (seconds), by linear interpolation
+   between the closest ranks. *)
+let stat_of samples =
+  let samples = Array.copy samples in
+  Array.sort compare samples;
+  let n = Array.length samples in
+  let q p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    let j = min (i + 1) (n - 1) in
+    samples.(i) +. ((x -. float_of_int i) *. (samples.(j) -. samples.(i)))
+  in
+  { med = q 0.5; q1 = q 0.25; q3 = q 0.75 }
+
 (* [measure ?reps ?batch f] — one warmup call of [f], then [reps] timed
    samples of [batch] calls each, reported per call.  [batch] lifts
    ns-scale micro-tests above the clock's resolution. *)
 let measure ?(reps = 5) ?(batch = 1) f =
   f ();
-  let samples =
-    Array.init reps (fun _ ->
-        let t0 = Support.Telemetry.now_ns () in
-        for _ = 1 to batch do
-          f ()
-        done;
-        float_of_int (Support.Telemetry.now_ns () - t0)
-        /. 1e9 /. float_of_int batch)
-  in
-  Array.sort compare samples;
-  (* linear interpolation between the closest ranks *)
-  let q p =
-    let x = p *. float_of_int (reps - 1) in
-    let i = int_of_float x in
-    let j = min (i + 1) (reps - 1) in
-    samples.(i) +. ((x -. float_of_int i) *. (samples.(j) -. samples.(i)))
-  in
-  { med = q 0.5; q1 = q 0.25; q3 = q 0.75 }
+  stat_of
+    (Array.init reps (fun _ ->
+         let t0 = Support.Telemetry.now_ns () in
+         for _ = 1 to batch do
+           f ()
+         done;
+         float_of_int (Support.Telemetry.now_ns () - t0)
+         /. 1e9 /. float_of_int batch))
 
 let iqr s = s.q3 -. s.q1
 
@@ -411,9 +418,14 @@ type native_kind = {
 
 let native_cube () = cube ~m:48 ~n:64 ~p:32
 
-let example name =
+(* From the repository root (`dune exec`) or from _build/default/bench
+   (the @bench-smoke rule). *)
+let example_path name =
   List.find_opt Sys.file_exists
     [ Filename.concat "examples" name; Filename.concat "../examples" name ]
+
+let example name =
+  example_path name
   |> Option.map (fun p -> In_channel.with_open_text p In_channel.input_all)
 
 let paper_progs =
@@ -839,9 +851,90 @@ let check_json ~what validate path =
       List.iter (fun p -> Fmt.epr "%s: %s@." path p) ps;
       exit 1
 
+(* --- C15: per-process fixed cost ------------------------------------------------------ *)
+
+let mmc_exe =
+  List.find_opt Sys.file_exists
+    [ "_build/default/bin/mmc.exe"; "../bin/mmc.exe" ]
+
+(* Run the CLI to completion with its output discarded; a failure is
+   fatal, so a broken subcommand cannot pass for a fast one. *)
+let run_mmc exe args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null
+          null)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ ->
+      Fmt.epr "mmc %s failed@." (String.concat " " args);
+      exit 1
+
+(* What every `mmc emit/run/exec` pays before its program runs, on
+   eddy_energy: [Driver.compose] in-process with its compose.* split,
+   read from the library's own spans of the same calls, then the process
+   wall of `mmc emit` and of a warm `mmc exec` (the warmup call fills the
+   binary cache, so the timed calls hit it and skip compiler and probe). *)
+let bench_fixed_cost ?(reps = 7) () =
+  Fmt.pr "@.=== C15: per-process fixed cost (eddy_energy) ===@.";
+  let samples =
+    List.map
+      (fun name -> (name, ref []))
+      [
+        "driver.compose"; "compose.determinism"; "compose.wellformed";
+        "compose.lalr"; "compose.scanner";
+      ]
+  in
+  let traced () =
+    Support.Telemetry.reset ();
+    Support.Telemetry.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Support.Telemetry.set_enabled false)
+      (fun () -> ignore (Driver.compose Driver.all_extensions));
+    let spans = Support.Telemetry.spans () in
+    List.iter
+      (fun (name, acc) ->
+        acc :=
+          List.fold_left
+            (fun t (sp : Support.Telemetry.span) ->
+              if sp.sp_name = name then t +. sp.sp_dur else t)
+            0. spans
+          :: !acc)
+      samples
+  in
+  ignore (measure ~reps traced);
+  Support.Telemetry.reset ();
+  Fmt.pr "  %-36s %24s@." "in-process" "time (ms)";
+  List.iter
+    (fun (name, acc) ->
+      (* the oldest sample is the warmup call's *)
+      let timed = Array.of_list (List.tl (List.rev !acc)) in
+      let label = if name = "driver.compose" then name else "  " ^ name in
+      Fmt.pr "  %-36s %24s@." label (ms (stat_of timed)))
+    samples;
+  match (mmc_exe, example_path "eddy_energy.mc") with
+  | None, _ | _, None ->
+      Fmt.pr "  process rows skipped: mmc.exe or eddy_energy.mc not found@."
+  | Some exe, Some eddy ->
+      let emit = measure ~reps (fun () -> run_mmc exe [ "emit"; eddy ]) in
+      Fmt.pr "  %-36s %24s@." "process wall: mmc emit" (ms emit);
+      with_cc @@ fun _ ->
+      Driver.with_data_dir None @@ fun cache_dir ->
+      let warm =
+        measure ~reps (fun () ->
+            run_mmc exe [ "exec"; "--cache-dir"; cache_dir; eddy ])
+      in
+      Fmt.pr "  %-36s %24s@." "process wall: warm mmc exec" (ms warm);
+      Fmt.pr "  warm exec / emit: %s@." (verdict warm emit)
+
 (* Smoke mode: one spawn-per-region run and one tiny pool region, the
    two sides of C5 (keeps [Pool.naive_parallel_for], the C5 baseline,
-   exercised), then [measure] and [verdict] on both sides. *)
+   exercised), then [measure] and [verdict] on both sides, then C15 at 3
+   repeats. *)
 let smoke_check () =
   let covers name run =
     let sink = Array.make 1_000 (-1) in
@@ -867,6 +960,7 @@ let smoke_check () =
     (per_call pool) (per_call spawn) (verdict spawn pool)
     (if ok then "ok" else "FAIL");
   if not ok then exit 1;
+  bench_fixed_cost ~reps:3 ();
   Fmt.pr "@.smoke ok.@."
 
 (* Value of a "--flag FILE" pair on the command line. *)
@@ -910,6 +1004,7 @@ let () =
     bench_native ();
     bench_native_profile ();
     bench_native_guards ();
+    bench_fixed_cost ();
     write_bench_kernels ();
     bench_remarks ();
     write_bench_telemetry ();

@@ -25,6 +25,8 @@ let err span fmt =
 
 type scope = {
   mutable owned : string list;  (** matrix vars owned by this scope *)
+  mutable names : (string * string) list;
+      (** source name -> lowered name of each declaration in this scope *)
   is_loop : bool;  (** break/continue release down to the loop scope *)
 }
 
@@ -102,8 +104,36 @@ let is_mat = function Types.TMat _ -> true | _ -> false
 
 (* --- ownership helpers ------------------------------------------------------ *)
 
-let push_scope ?(is_loop = false) t = t.scopes <- { owned = []; is_loop } :: t.scopes
+let push_scope ?(is_loop = false) t =
+  t.scopes <- { owned = []; names = []; is_loop } :: t.scopes
+
 let own t name = (List.hd t.scopes).owned <- name :: (List.hd t.scopes).owned
+
+(** [resolve t v] — the lowered name of the innermost visible declaration
+    of source variable [v]. *)
+let resolve t v =
+  Option.value ~default:v
+    (List.find_map (fun sc -> List.assoc_opt v sc.names) t.scopes)
+
+(* [declare t name ~mat] binds a declaration of [name] in the innermost
+   scope and returns its lowered name.  Releases name what they release,
+   so a matrix declaration that shadows a visible matrix (an owned local
+   or a borrowed parameter) gets a fresh name: otherwise a [return] or
+   [break] inside the inner block would release the inner handle twice
+   and the outer one never. *)
+let declare t name ~mat =
+  let visible = resolve t name in
+  let lowered =
+    if
+      mat
+      && (List.mem visible t.params
+         || List.exists (fun sc -> List.mem visible sc.owned) t.scopes)
+    then fresh t name
+    else name
+  in
+  let sc = List.hd t.scopes in
+  sc.names <- (name, lowered) :: sc.names;
+  lowered
 
 (** Remember a statement-level owned temporary (also used by extension
     lowerings for intermediate slices etc.). *)
@@ -197,7 +227,7 @@ let rec lower_expr ?expected t (e : Ast.expr) : stmt list * expr =
   | Ast.FloatLit f -> ([], Float f)
   | Ast.BoolLit b -> ([], Bool b)
   | Ast.StrLit s -> ([], Str s)
-  | Ast.Ident v -> ([], Var v)
+  | Ast.Ident v -> ([], Var (resolve t v))
   | Ast.Bin (op, a, b) -> (
       let ta = ety a and tb = ety b in
       if Types.is_scalar ta && Types.is_scalar tb && host_binop_ok op then
@@ -302,11 +332,13 @@ let rec lower_stmt t (st : Ast.stmt) : stmt list =
                checker allows only when every path assigns first (the
                paper's programs follow this; see Fig 8's `trough`).  The
                variable still owns whatever it ends up holding. *)
+            let name = declare t name ~mat:(is_mat ty) in
             if is_mat ty then own t name;
             [ Decl (cty, name, None) ]
         | Some ie ->
             let si, ei = lower_expr ~expected:ty t ie in
             let ei = coerce ~from:(ety ie) ~to_:ty ei in
+            let name = declare t name ~mat:(is_mat ty) in
             let retain =
               if is_mat ty && t.rc then
                 if consume_pending t ei then []
@@ -444,6 +476,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
   | Ast.Ident v when is_mat (ety lhs) && Types.is_scalar (ety rhs) ->
       (* Whole-matrix scalar fill: m = 0 writes every element (the matrix
          extension's overloaded assignment). *)
+      let v = resolve t v in
       let elem =
         match ety lhs with
         | Types.TMat (e, _) -> e
@@ -463,6 +496,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
             };
         ]
   | Ast.Ident v ->
+      let v = resolve t v in
       let ty = ety lhs in
       let sr, er = lower_expr ~expected:ty t rhs in
       let er = coerce ~from:(ety rhs) ~to_:ty er in
@@ -493,6 +527,7 @@ and lower_assign t span (lhs : Ast.expr) (rhs : Ast.expr) : stmt list =
              (fun i (p : Ast.expr) ->
                match p.Ast.e with
                | Ast.Ident v ->
+                   let v = resolve t v in
                    let pty = ety p in
                    if is_mat pty && t.rc then
                      rc_dec t (Var v)

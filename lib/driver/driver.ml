@@ -163,8 +163,10 @@ let compose ?(force = false) (selected : extension list) : composed =
   Tel.with_span ~phase:"compose" "driver.compose" @@ fun () ->
   let det_reports =
     Tel.with_span ~phase:"compose" "compose.determinism" (fun () ->
+        let host_table = lazy (Grammar.Lalr.build effective_host) in
         List.map
-          (fun x -> Grammar.Determinism.check effective_host x.grammar)
+          (fun x ->
+            Grammar.Determinism.check ~host_table effective_host x.grammar)
           selected)
   in
   let ag_reports =

@@ -159,7 +159,7 @@ let lower_hooks : L.hooks =
                   (ss @ s, es @ [ e ]))
                 ([], []) args
             in
-            let lv = Option.map (fun x -> Cir.Ir.LVar x) target in
+            let lv = Option.map (fun x -> Cir.Ir.LVar (L.resolve t x)) target in
             Some (stmts @ [ Cir.Ir.Spawn (lv, fname, argv) ])
         | _ -> None);
   }

@@ -75,10 +75,12 @@ let bridge_productions (host : Cfg.t) (ext : Cfg.t) =
   let hnts = host_nonterminals host in
   List.filter (fun p -> SS.mem p.Cfg.lhs hnts) ext.Cfg.productions
 
-(** [check host ext] runs the analysis for one extension against the host.
-    Never raises for user-level problems — every issue becomes a
-    {!violation} (or a note). *)
-let check (host : Cfg.t) (ext : Cfg.t) : report =
+(** [check ?host_table host ext] runs the analysis for one extension
+    against the host.  [host_table] is [lazy (Lalr.build host)], for a
+    caller that checks several extensions against one host and builds
+    its table once.  Never raises for user-level problems — every issue
+    becomes a {!violation} (or a note). *)
+let check ?host_table (host : Cfg.t) (ext : Cfg.t) : report =
   let violations = ref [] and notes = ref [] in
   let violate rule fmt =
     Format.kasprintf
@@ -181,7 +183,11 @@ let check (host : Cfg.t) (ext : Cfg.t) : report =
   | None -> ()
   | Some tc -> (
       try
-        let th = Lalr.build host in
+        let th =
+          match host_table with
+          | Some t -> Lazy.force t
+          | None -> Lalr.build host
+        in
         if not (Lalr.is_lalr1 th) then
           violate "host" "host grammar alone is not LALR(1)"
         else begin
@@ -284,7 +290,8 @@ let check (host : Cfg.t) (ext : Cfg.t) : report =
     which also covers any spillage notes). *)
 let check_all (host : Cfg.t) (exts : Cfg.t list) :
     report list * (Lalr.t, string) result =
-  let reports = List.map (check host) exts in
+  let host_table = lazy (Lalr.build host) in
+  let reports = List.map (check ~host_table host) exts in
   let composed =
     try
       let cfg = Cfg.compose host exts in

@@ -1,11 +1,24 @@
 (** LALR(1) parse-table construction.
 
-    The construction is the textbook one used by Copper:
-    build the LR(0) canonical collection, then compute LALR(1) lookaheads
-    for kernel items by spontaneous generation and propagation
-    (Dragon-book algorithm 4.63), and finally derive reduce lookaheads for
-    every completed item — including items of epsilon productions — by an
-    in-state LR(1) closure over the kernel lookaheads.
+    The construction is the textbook one used by Copper: build the LR(0)
+    canonical collection, then compute LALR(1) lookaheads for kernel
+    items by spontaneous generation and propagation (Dragon-book
+    algorithm 4.63), and finally derive reduce lookaheads for every
+    completed item — including items of epsilon productions.
+
+    Algorithm 4.63 runs one LR(1) closure per kernel item, and another
+    per state for the reduce lookaheads.  Here every closure is read off
+    {e nonterminal-level closure tables} instead: for each nonterminal
+    [B], the nonterminals [C] reachable from [B] by leftmost derivation,
+    each with the terminals the derivation chains themselves put after
+    [C] ([spont]) and whether [B]'s own lookahead passes through to [C]
+    ([pass]: some chain has only nullable tails).  The closure of an item
+    [A ::= α · B β] with lookahead [L] then gives [C]'s productions
+    exactly [spont ∪ (pass ? FIRST(β) ∪ (nullable β ? L : ∅) : ∅)].
+    FIRST and nullability of every item's tail are computed once per
+    item, lookaheads propagate along a worklist, and the reduce
+    lookaheads of epsilon productions come from the same per-state
+    closure sums.  The tables are the ones algorithm 4.63 builds.
 
     Tables are pure data: the parser driver, the context-aware scanner
     (which needs the {i valid terminal set} of each state) and the modular
@@ -75,51 +88,110 @@ let pp_conflict g ppf c =
     (Fmt.list ~sep:(Fmt.any " / ") (pp_action g))
     c.c_actions
 
-(* LR(0) closure of an item set (sorted int list in, sorted out). *)
-let lr0_closure (g : A.t) (items : int list) : int list =
-  let seen = Hashtbl.create 32 in
-  let rec add it =
-    if not (Hashtbl.mem seen it) then begin
-      Hashtbl.add seen it ();
-      let p = g.A.prods.(item_prod it) and dot = item_dot it in
-      if dot < Array.length p.A.irhs then
-        let code = p.A.irhs.(dot) in
-        if not (A.is_term g code) then
-          List.iter
-            (fun pi -> add (item pi 0))
-            g.A.prods_of.(A.nt_of_code g code)
-    end
+(* Per production [p] and position [i]: FIRST(rhs[i..]) and whether
+   rhs[i..] derives the empty string, for 0 <= i <= |rhs|.  The tail
+   after an item's next symbol is position [dot + 1]. *)
+let suffixes (g : A.t) =
+  let first =
+    Array.map
+      (fun p -> Array.make (Array.length p.A.irhs + 1) IntSet.empty)
+      g.A.prods
   in
-  List.iter add items;
-  Hashtbl.fold (fun it () acc -> it :: acc) seen [] |> List.sort Int.compare
+  let null =
+    Array.map (fun p -> Array.make (Array.length p.A.irhs + 1) true) g.A.prods
+  in
+  Array.iteri
+    (fun pi p ->
+      let rhs = p.A.irhs in
+      for i = Array.length rhs - 1 downto 0 do
+        let code = rhs.(i) in
+        if A.is_term g code then begin
+          first.(pi).(i) <- IntSet.singleton code;
+          null.(pi).(i) <- false
+        end
+        else begin
+          let n = A.nt_of_code g code in
+          let nullable = g.A.nullable.(n) in
+          first.(pi).(i) <-
+            (if nullable then IntSet.union g.A.first.(n) first.(pi).(i + 1)
+             else g.A.first.(n));
+          null.(pi).(i) <- nullable && null.(pi).(i + 1)
+        end
+      done)
+    g.A.prods;
+  (first, null)
 
-(* Kernel goto: from a state's closure, the kernels reachable on each
-   symbol. Returns (symbol_code, kernel items sorted) assoc, sorted. *)
-let kernel_gotos (g : A.t) (closure : int list) : (int * int list) list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun it ->
-      let p = g.A.prods.(item_prod it) and dot = item_dot it in
-      if dot < Array.length p.A.irhs then begin
-        let code = p.A.irhs.(dot) in
-        let prev = Hashtbl.find_opt tbl code |> Option.value ~default:[] in
-        Hashtbl.replace tbl code (item (item_prod it) (dot + 1) :: prev)
-      end)
-    closure;
-  Hashtbl.fold
-    (fun code items acc -> (code, List.sort Int.compare items) :: acc)
-    tbl []
-  |> List.sort compare
+(* One nonterminal reachable from the closure's source [B]: its
+   productions get lookahead [spont], plus [B]'s own lookahead when
+   [pass]. *)
+type reach = { nt : int; spont : IntSet.t; pass : bool }
+
+(* [closure_tables g first null] — per nonterminal [B], the nonterminals
+   reachable from [B] by leftmost derivation ([B] itself included, with
+   [pass = true]), as a least fixpoint over the edges [C ::= D δ]. *)
+let closure_tables (g : A.t) first null : reach list array =
+  let n = g.A.n_nts in
+  let spont = Array.make n IntSet.empty in
+  let pass = Array.make n false in
+  let reached = Array.make n (-1) in
+  Array.init n (fun b ->
+      let order = ref [ b ] in
+      reached.(b) <- b;
+      spont.(b) <- IntSet.empty;
+      pass.(b) <- true;
+      let work = Queue.create () in
+      Queue.add b work;
+      while not (Queue.is_empty work) do
+        let c = Queue.pop work in
+        List.iter
+          (fun pi ->
+            let rhs = g.A.prods.(pi).A.irhs in
+            if Array.length rhs > 0 && not (A.is_term g rhs.(0)) then begin
+              let d = A.nt_of_code g rhs.(0) in
+              let tail_null = null.(pi).(1) in
+              let s =
+                if tail_null then IntSet.union first.(pi).(1) spont.(c)
+                else first.(pi).(1)
+              in
+              let p = tail_null && pass.(c) in
+              if reached.(d) <> b then begin
+                reached.(d) <- b;
+                order := d :: !order;
+                spont.(d) <- s;
+                pass.(d) <- p;
+                Queue.add d work
+              end
+              else if
+                (p && not pass.(d)) || not (IntSet.subset s spont.(d))
+              then begin
+                spont.(d) <- IntSet.union spont.(d) s;
+                pass.(d) <- pass.(d) || p;
+                Queue.add d work
+              end
+            end)
+          g.A.prods_of.(c)
+      done;
+      List.rev_map
+        (fun c -> { nt = c; spont = spont.(c); pass = pass.(c) })
+        !order)
 
 exception Table_error of string
 
 (** [build cfg] constructs the LALR(1) tables for (interned) [cfg].
     Conflicts do not raise — they are recorded in [conflicts] (resolving
     nothing), so the determinism analysis can report them precisely; use
-    {!require_deterministic} when a conflict should be fatal. *)
+    {!require_deterministic} when a conflict should be fatal.  A conflict
+    lists the shift first, then its reduces in production order. *)
 let build (cfg : Cfg.t) : t =
   let g = A.intern cfg in
+  let prods = g.A.prods in
+  let rhs_len pi = Array.length prods.(pi).A.irhs in
+  let first, null = suffixes g in
+  let closure = closure_tables g first null in
+  let n_codes = g.A.n_terms + g.A.n_nts in
   (* --- LR(0) canonical collection ------------------------------------ *)
+  (* States are numbered breadth-first; a state's successors are interned
+     in ascending symbol-code order. *)
   let state_ids : (int list, int) Hashtbl.t = Hashtbl.create 128 in
   let kernels_rev = ref [] in
   let n_states = ref 0 in
@@ -136,116 +208,140 @@ let build (cfg : Cfg.t) : t =
         Queue.add (id, kernel) queue;
         id
   in
-  let start_kernel = [ item 0 0 ] in
-  ignore (intern_state start_kernel);
+  let buckets = Array.make n_codes [] in
+  let closed = Array.make g.A.n_nts (-1) in
+  ignore (intern_state [ item 0 0 ]);
   while not (Queue.is_empty queue) do
     let id, kernel = Queue.pop queue in
-    let closure = lr0_closure g kernel in
+    let touched = ref [] in
+    let advance it =
+      let pi = item_prod it and dot = item_dot it in
+      if dot < rhs_len pi then begin
+        let code = prods.(pi).A.irhs.(dot) in
+        if buckets.(code) = [] then touched := code :: !touched;
+        buckets.(code) <- item pi (dot + 1) :: buckets.(code)
+      end
+    in
     List.iter
-      (fun (code, tgt_kernel) ->
+      (fun it ->
+        advance it;
+        let pi = item_prod it and dot = item_dot it in
+        if dot < rhs_len pi then
+          let code = prods.(pi).A.irhs.(dot) in
+          if not (A.is_term g code) then
+            List.iter
+              (fun r ->
+                if closed.(r.nt) <> id then begin
+                  closed.(r.nt) <- id;
+                  List.iter (fun p -> advance (item p 0)) g.A.prods_of.(r.nt)
+                end)
+              closure.(A.nt_of_code g code))
+      kernel;
+    List.iter
+      (fun code ->
+        let tgt_kernel = List.sort Int.compare buckets.(code) in
+        buckets.(code) <- [];
         let tgt = intern_state tgt_kernel in
         transitions := (id, code, tgt) :: !transitions)
-      (kernel_gotos g closure)
+      (List.sort Int.compare !touched)
   done;
   let n_states = !n_states in
   let kernels = Array.of_list (List.rev !kernels_rev) |> Array.map Array.of_list in
-  let goto_sym = Array.make n_states [] in
-  List.iter
-    (fun (s, code, t) -> goto_sym.(s) <- (code, t) :: goto_sym.(s))
-    !transitions;
-  let goto_of state code = List.assoc_opt code goto_sym.(state) in
+  let goto_code = Array.init n_states (fun _ -> Array.make n_codes (-1)) in
+  List.iter (fun (s, code, t) -> goto_code.(s).(code) <- t) !transitions;
   (* --- LALR(1) lookaheads for kernel items ---------------------------- *)
-  (* Lookahead storage: per state, per kernel item index. *)
   let kernel_index state it =
     let k = kernels.(state) in
     let rec go i = if k.(i) = it then i else go (i + 1) in
     go 0
   in
-  let lookaheads = Array.map (fun k -> Array.make (Array.length k) IntSet.empty) kernels in
-  let propagate : (int * int, (int * int) list) Hashtbl.t = Hashtbl.create 256 in
-  let add_prop src dst =
-    let prev = Hashtbl.find_opt propagate src |> Option.value ~default:[] in
-    Hashtbl.replace propagate src (dst :: prev)
+  (* [succ s it]: the target state and kernel index of [it] advanced
+     over its next symbol from state [s]. *)
+  let succ s it =
+    let pi = item_prod it and dot = item_dot it in
+    let tgt = goto_code.(s).(prods.(pi).A.irhs.(dot)) in
+    (tgt, kernel_index tgt (item pi (dot + 1)))
   in
-  (* Dummy lookahead terminal "#": id = n_terms (one past $EOF). *)
-  let dummy = g.A.n_terms in
-  (* LR(1) closure of a single (item, {la}) seed, small-step. *)
-  let lr1_closure_single seed_item seed_la =
-    let acc : (int, IntSet.t ref) Hashtbl.t = Hashtbl.create 32 in
-    let work = Queue.create () in
-    let add it la =
-      match Hashtbl.find_opt acc it with
-      | Some r ->
-          let extra = IntSet.diff la !r in
-          if not (IntSet.is_empty extra) then begin
-            r := IntSet.union !r extra;
-            Queue.add (it, extra) work
-          end
-      | None ->
-          Hashtbl.add acc it (ref la);
-          Queue.add (it, la) work
-    in
-    add seed_item (IntSet.singleton seed_la);
-    while not (Queue.is_empty work) do
-      let it, la = Queue.pop work in
-      let p = g.A.prods.(item_prod it) and dot = item_dot it in
-      if dot < Array.length p.A.irhs then begin
-        let code = p.A.irhs.(dot) in
-        if not (A.is_term g code) then begin
-          (* FIRST(β · la); β may be empty ⇒ la flows through (including #). *)
-          let beta_first = A.first_of_seq g ~from:(dot + 1) p.A.irhs IntSet.empty in
-          let flows = A.seq_nullable g ~from:(dot + 1) p.A.irhs in
-          let la' = if flows then IntSet.union beta_first la else beta_first in
-          List.iter
-            (fun pi -> add (item pi 0) la')
-            g.A.prods_of.(A.nt_of_code g code)
-        end
-      end
-    done;
-    Hashtbl.fold (fun it la acc -> (it, !la) :: acc) acc []
+  let lookaheads =
+    Array.map (fun k -> Array.make (Array.length k) IntSet.empty) kernels
   in
-  (* Spontaneous lookaheads and propagation links. *)
-  for state = 0 to n_states - 1 do
+  let links = Array.map (fun k -> Array.make (Array.length k) []) kernels in
+  (* Per state, each epsilon production in its closure with the closure's
+     spontaneous lookahead and the kernel items whose lookahead passes
+     through to it. *)
+  let eps_items = Array.make n_states [] in
+  let spont = Array.make g.A.n_nts IntSet.empty in
+  let passing = Array.make g.A.n_nts [] in
+  let seen = Array.make g.A.n_nts (-1) in
+  for s = 0 to n_states - 1 do
+    let touched = ref [] in
     Array.iteri
-      (fun ki kit ->
+      (fun ki it ->
+        let pi = item_prod it and dot = item_dot it in
+        if dot < rhs_len pi then begin
+          links.(s).(ki) <- [ succ s it ];
+          let code = prods.(pi).A.irhs.(dot) in
+          if not (A.is_term g code) then begin
+            let tail_first = first.(pi).(dot + 1) in
+            let tail_null = null.(pi).(dot + 1) in
+            List.iter
+              (fun r ->
+                if seen.(r.nt) <> s then begin
+                  seen.(r.nt) <- s;
+                  spont.(r.nt) <- IntSet.empty;
+                  passing.(r.nt) <- [];
+                  touched := r.nt :: !touched
+                end;
+                let la =
+                  if r.pass then IntSet.union r.spont tail_first else r.spont
+                in
+                spont.(r.nt) <- IntSet.union spont.(r.nt) la;
+                if r.pass && tail_null then
+                  passing.(r.nt) <- ki :: passing.(r.nt))
+              closure.(A.nt_of_code g code)
+          end
+        end)
+      kernels.(s);
+    List.iter
+      (fun c ->
         List.iter
-          (fun (it, la) ->
-            let p = g.A.prods.(item_prod it) and dot = item_dot it in
-            if dot < Array.length p.A.irhs then begin
-              let code = p.A.irhs.(dot) in
-              match goto_of state code with
-              | None -> ()
-              | Some tgt ->
-                  let tgt_item = item (item_prod it) (dot + 1) in
-                  let tki = kernel_index tgt tgt_item in
-                  let spont = IntSet.remove dummy la in
-                  if not (IntSet.is_empty spont) then
-                    lookaheads.(tgt).(tki) <-
-                      IntSet.union lookaheads.(tgt).(tki) spont;
-                  if IntSet.mem dummy la then add_prop (state, ki) (tgt, tki)
+          (fun pi ->
+            if rhs_len pi = 0 then
+              eps_items.(s) <- (pi, spont.(c), passing.(c)) :: eps_items.(s)
+            else begin
+              let tgt, tki = succ s (item pi 0) in
+              lookaheads.(tgt).(tki) <-
+                IntSet.union lookaheads.(tgt).(tki) spont.(c);
+              List.iter
+                (fun ki -> links.(s).(ki) <- (tgt, tki) :: links.(s).(ki))
+                passing.(c)
             end)
-          (lr1_closure_single kit dummy))
-      kernels.(state)
+          g.A.prods_of.(c))
+      !touched
   done;
   (* $EOF is the lookahead of the augmented start item. *)
   lookaheads.(0).(0) <- IntSet.add g.A.eof lookaheads.(0).(0);
-  (* Propagation fixpoint. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun (s, ki) dsts ->
-        let la = lookaheads.(s).(ki) in
-        List.iter
-          (fun (ts, tki) ->
-            let before = lookaheads.(ts).(tki) in
-            let after = IntSet.union before la in
-            if not (IntSet.equal before after) then begin
-              lookaheads.(ts).(tki) <- after;
-              changed := true
-            end)
-          dsts)
-      propagate
+  (* Propagation: a worklist of kernel items whose lookahead grew. *)
+  let queued = Array.map (fun k -> Array.make (Array.length k) true) kernels in
+  let work = Queue.create () in
+  Array.iteri
+    (fun s k -> Array.iteri (fun ki _ -> Queue.add (s, ki) work) k)
+    kernels;
+  while not (Queue.is_empty work) do
+    let s, ki = Queue.pop work in
+    queued.(s).(ki) <- false;
+    let la = lookaheads.(s).(ki) in
+    List.iter
+      (fun (t, tki) ->
+        let before = lookaheads.(t).(tki) in
+        if not (IntSet.subset la before) then begin
+          lookaheads.(t).(tki) <- IntSet.union before la;
+          if not queued.(t).(tki) then begin
+            queued.(t).(tki) <- true;
+            Queue.add (t, tki) work
+          end
+        end)
+      links.(s).(ki)
   done;
   (* --- Action/goto tables --------------------------------------------- *)
   let action = Array.init n_states (fun _ -> Array.make g.A.n_terms Error) in
@@ -275,56 +371,37 @@ let build (cfg : Cfg.t) : t =
   in
   for state = 0 to n_states - 1 do
     (* Shifts and gotos from LR(0) transitions. *)
+    Array.iteri
+      (fun code tgt ->
+        if tgt >= 0 then
+          if A.is_term g code then set_action state code (Shift tgt)
+          else goto.(state).(A.nt_of_code g code) <- tgt)
+      goto_code.(state);
+    (* Reduces: completed kernel items on their own lookaheads, epsilon
+       productions on the closure's. *)
+    let completed = ref [] in
+    Array.iteri
+      (fun ki it ->
+        if item_dot it = rhs_len (item_prod it) then
+          completed := (item_prod it, lookaheads.(state).(ki)) :: !completed)
+      kernels.(state);
     List.iter
-      (fun (code, tgt) ->
-        if A.is_term g code then set_action state code (Shift tgt)
-        else goto.(state).(A.nt_of_code g code) <- tgt)
-      goto_sym.(state);
-    (* Reduces: LR(1) closure of the kernel with its computed lookaheads,
-       so epsilon-production reductions get correct lookaheads too. *)
-    let seeds =
-      Array.to_list
-        (Array.mapi (fun ki kit -> (kit, lookaheads.(state).(ki))) kernels.(state))
-    in
-    let closure : (int, IntSet.t ref) Hashtbl.t = Hashtbl.create 32 in
-    let work = Queue.create () in
-    let add it la =
-      match Hashtbl.find_opt closure it with
-      | Some r ->
-          let extra = IntSet.diff la !r in
-          if not (IntSet.is_empty extra) then begin
-            r := IntSet.union !r extra;
-            Queue.add (it, extra) work
-          end
-      | None ->
-          Hashtbl.add closure it (ref la);
-          Queue.add (it, la) work
-    in
-    List.iter (fun (it, la) -> add it la) seeds;
-    while not (Queue.is_empty work) do
-      let it, la = Queue.pop work in
-      let p = g.A.prods.(item_prod it) and dot = item_dot it in
-      if dot < Array.length p.A.irhs then begin
-        let code = p.A.irhs.(dot) in
-        if not (A.is_term g code) then begin
-          let beta_first = A.first_of_seq g ~from:(dot + 1) p.A.irhs IntSet.empty in
-          let flows = A.seq_nullable g ~from:(dot + 1) p.A.irhs in
-          let la' = if flows then IntSet.union beta_first la else beta_first in
-          List.iter (fun pi -> add (item pi 0) la') g.A.prods_of.(A.nt_of_code g code)
-        end
-      end
-    done;
-    Hashtbl.iter
-      (fun it la ->
-        let pi = item_prod it and dot = item_dot it in
-        let p = g.A.prods.(pi) in
-        if dot = Array.length p.A.irhs then
-          IntSet.iter
-            (fun t ->
-              if pi = 0 then (if t = g.A.eof then set_action state t Accept)
-              else set_action state t (Reduce pi))
-            !la)
-      closure
+      (fun (pi, spont, passing) ->
+        let la =
+          List.fold_left
+            (fun acc ki -> IntSet.union acc lookaheads.(state).(ki))
+            spont passing
+        in
+        completed := (pi, la) :: !completed)
+      eps_items.(state);
+    List.iter
+      (fun (pi, la) ->
+        IntSet.iter
+          (fun t ->
+            if pi = 0 then (if t = g.A.eof then set_action state t Accept)
+            else set_action state t (Reduce pi))
+          la)
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) !completed)
   done;
   let valid_terms =
     Array.init n_states (fun s ->

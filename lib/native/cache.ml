@@ -52,20 +52,22 @@ let ensure_dir dir =
 
 let exe_path ~dir k = Filename.concat dir ("mm_" ^ k ^ ".exe")
 
+(** [find ~dir k] — cached binary for key [k], if any, without touching
+    the hit/miss tally. *)
+let find ~dir k =
+  let path = exe_path ~dir k in
+  if Sys.file_exists path then Some path else None
+
+(** [tally r] counts the outcome [r] of one lookup as a hit or a miss and
+    returns it. *)
+let tally r =
+  (match r with Some _ -> incr hits | None -> incr misses);
+  export_gauges ();
+  r
+
 (** [lookup ~dir k] — cached binary for key [k], bumping the hit/miss
     tally either way. *)
-let lookup ~dir k =
-  let path = exe_path ~dir k in
-  if Sys.file_exists path then begin
-    incr hits;
-    export_gauges ();
-    Some path
-  end
-  else begin
-    incr misses;
-    export_gauges ();
-    None
-  end
+let lookup ~dir k = tally (find ~dir k)
 
 (** Materialise the program and runtime sources for a compile (the cache
     directory is also the build directory, so a failed compile leaves the

@@ -387,8 +387,9 @@ let remove_if_exists path =
 
 (** [run ?cc ?cflags ?cache ?cache_dir ?keep_c ?instrument ?threads
     ?sanitize ?failpoints ?timeout_s ?max_bytes ~dir c_text] — the whole
-    native path: probe the toolchain (including [-fsanitize] support
-    when [sanitize] is given), hit or fill the binary cache, execute
+    native path: hit the binary cache, or else probe the toolchain
+    (including [-fsanitize] support when [sanitize] is given) and fill
+    it (see {!Toolchain} for why a hit needs no probe), execute
     supervised in [dir] (where readMatrix/writeMatrix files live) with
     [OMP_NUM_THREADS=threads], and parse the result protocol.
 
@@ -398,26 +399,50 @@ let remove_if_exists path =
     and address-space cap.  With [instrument] the profiling runtime is
     compiled in (under its own cache key) and the binary's
     mm_profile.json sidecar comes back in [outcome.profile_json].
-    Compile and run legs are wrapped in telemetry spans and exported
-    both as ns and ms gauges; signal deaths and deadline kills export
-    [native.signal] / [native.timeout]. *)
+    The lookup, probe, compile and run legs are wrapped in telemetry
+    spans ([cache.lookup], [native.probe], [native.compile],
+    [native.run]); compile and run are also exported as ns and ms
+    gauges; signal deaths and deadline kills export [native.signal] /
+    [native.timeout]. *)
 let run ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
     ?keep_c ?(instrument = false) ?(threads = 1) ?sanitize ?failpoints
     ?timeout_s ?max_bytes ?pipeline ~dir (c_text : string) :
     (outcome, error) result =
-  match Toolchain.probe ?cc ~cflags ?sanitize () with
-  | Error e -> Error (Toolchain_error e)
-  | Ok tc -> (
+  let span name f = Support.Telemetry.with_span ~phase:"native" name f in
+  let key tc = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
+  let find k =
+    if cache then span "cache.lookup" (fun () -> Cache.find ~dir:cache_dir k)
+    else None
+  in
+  (* A hit under the toolchain a passing OpenMP probe returns proves that
+     probe would pass, so it stands in for it; a miss probes, then looks
+     up again only if the probed toolchain keys a different slot. *)
+  let resolved =
+    let assumed = Toolchain.with_openmp ?cc ~cflags ?sanitize () in
+    let k = key assumed in
+    match find k with
+    | Some exe -> Ok (assumed, k, Some exe)
+    | None -> (
+        match
+          span "native.probe" (fun () ->
+              Toolchain.probe ?cc ~cflags ?sanitize ())
+        with
+        | Error e -> Error (Toolchain_error e)
+        | Ok tc ->
+            let k' = key tc in
+            Ok (tc, k', if k' = k then None else find k'))
+  in
+  match resolved with
+  | Error e -> Error e
+  | Ok (tc, k, cached) -> (
       Support.Telemetry.set_gauge "native.openmp" (if tc.openmp then 1. else 0.);
       keep_c_sources ~keep_c ~instrument c_text;
-      let k = Cache.key ~toolchain:tc ~instrument ?pipeline c_text in
-      let cached = if cache then Cache.lookup ~dir:cache_dir k else None in
+      if cache then ignore (Cache.tally cached);
       let compiled =
         match cached with
         | Some exe -> Ok (exe, true)
         | None ->
-            Support.Telemetry.with_span ~phase:"native" "native.compile"
-              (fun () ->
+            span "native.compile" (fun () ->
                 let c_files =
                   Cache.write_sources ~dir:cache_dir ~k ~instrument c_text
                 in
@@ -464,8 +489,7 @@ let run ?cc ?(cflags = []) ?(cache = true) ?(cache_dir = Cache.default_dir)
             | _ -> []
           in
           let status =
-            Support.Telemetry.with_span ~phase:"native" "native.run"
-              (fun () ->
+            span "native.run" (fun () ->
                 let t0 = Support.Telemetry.now_ns () in
                 let status =
                   Supervise.run ~env ?timeout_s ?max_bytes ~dir

@@ -2,12 +2,21 @@
     emitted plain parallel C is "compiled for execution by a traditional
     compiler").
 
-    The compiler is probed once per (cc, flags) configuration: first a
+    {!probe} checks a (cc, flags) configuration with two compiles: first a
     trivial translation unit (is there a working compiler at all?), then
     the same unit under [-fopenmp] (do parallel loops get real OpenMP
-    threads, or do the pragmas fall back to sequential execution?).  Probe
-    results are memoised for the process lifetime, so test suites that
-    exec many programs pay for the probe once. *)
+    threads, or do the pragmas fall back to sequential execution?).  Its
+    verdict is memoised for the process lifetime only, so test suites that
+    exec many programs pay for it once per configuration, and nothing is
+    stored on disk.
+
+    A process that finds its binary in the cache does not probe at all:
+    {!Exec.run} first looks the program up under {!with_openmp}, the
+    toolchain a passing probe with OpenMP returns.  A binary in that slot
+    was compiled by this compiler with these flags and [-fopenmp], which
+    is everything the probe would establish.  Only a miss probes (and then
+    compiles), so a compiler without OpenMP, or none at all, is still
+    diagnosed exactly as before. *)
 
 type t = {
   cc : string;  (** compiler command, e.g. ["cc"] *)
@@ -35,6 +44,8 @@ let describe_error = function
 
 let default_cc () =
   match Sys.getenv_opt "MMC_CC" with Some c when c <> "" -> c | _ -> "cc"
+
+let resolve_cc = function Some c when c <> "" -> c | _ -> default_cc ()
 
 (* Run [cmd], capturing stdout+stderr; returns (exit code, output). *)
 let run_command cmd =
@@ -81,7 +92,7 @@ let sanitize_flags = function
     verify the compiler links [-fsanitize=<mode>] programs.  Memoised
     per configuration. *)
 let probe ?cc ?(cflags = []) ?sanitize () : (t, error) result =
-  let cc = match cc with Some c when c <> "" -> c | _ -> default_cc () in
+  let cc = resolve_cc cc in
   let key =
     cc ^ "\x00"
     ^ String.concat "\x00" cflags
@@ -131,6 +142,13 @@ let probe ?cc ?(cflags = []) ?sanitize () : (t, error) result =
       in
       Hashtbl.replace probe_cache key r;
       r
+
+(** [with_openmp ?cc ?cflags ?sanitize ()] — the toolchain {!probe}
+    returns for this configuration when the compiler works and accepts
+    [-fopenmp] (and [-fsanitize=<mode>], when given), computed without
+    running it. *)
+let with_openmp ?cc ?(cflags = []) ?sanitize () =
+  { cc = resolve_cc cc; cflags; openmp = true; sanitize }
 
 (** The flags a toolchain compiles generated programs with, in command
     order.  Without OpenMP the pragmas are dead text, so the unknown-

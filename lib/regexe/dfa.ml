@@ -34,12 +34,32 @@ let of_nfa (nfa : Nfa.t) : t =
         let row = Array.make 256 reject in
         rows := (id, row) :: !rows;
         accepting := (id, List.mem nfa.Nfa.accept set) :: !accepting;
-        (* Fill transitions for every input character. *)
-        for c = 0 to 255 do
-          let ch = Char.chr c in
-          let tgt = Nfa.eps_closure nfa (Nfa.step nfa set ch) in
-          if tgt <> [] then row.(c) <- intern tgt
-        done;
+        (* Fill transitions for every input character: [Nfa.step] over
+           the set's labelled edges, gathered once per row.  Characters
+           with no step stay [reject]; each distinct step set is closed
+           and interned once per row, in first-character order. *)
+        let edges = List.concat_map (fun s -> nfa.Nfa.labelled.(s)) set in
+        let targets = Hashtbl.create 8 in
+        if edges <> [] then
+          for c = 0 to 255 do
+            let ch = Char.chr c in
+            match
+              List.filter_map
+                (fun (atom, d) ->
+                  if Syntax.atom_matches atom ch then Some d else None)
+                edges
+              |> List.sort_uniq Int.compare
+            with
+            | [] -> ()
+            | step ->
+                row.(c) <-
+                  (match Hashtbl.find_opt targets step with
+                  | Some tgt -> tgt
+                  | None ->
+                      let tgt = intern (Nfa.eps_closure nfa step) in
+                      Hashtbl.add targets step tgt;
+                      tgt)
+          done;
         id
     in
   let start = intern (Nfa.eps_closure nfa [ nfa.Nfa.start ]) in

@@ -48,7 +48,7 @@ let rec value_eq (i : Interp.Eval.value) (n : Native.Exec.value) =
    the result value, the live-allocation count and every output file
    agree exactly (matrix files bit-for-bit). *)
 let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
-    ?(threads = 1) ?(cflags = []) ~name ~inputs ~outputs src =
+    ?(threads = 1) ?(cflags = []) ?live ~name ~inputs ~outputs src =
   ignore (ensure_cc ());
   Tmp.with_dir @@ fun dir_i -> Tmp.with_dir @@ fun dir_n ->
   List.iter
@@ -86,6 +86,9 @@ let differential ?(fuse = true) ?(copy_elim = true) ?(auto_par = false)
       Interp.Eval.pp_value iv Native.Exec.pp_value nv.Native.Exec.value;
   Alcotest.(check int) (name ^ ": live allocations at exit") ilive
     nv.Native.Exec.live;
+  Option.iter
+    (fun n -> Alcotest.(check int) (name ^ ": expected live count") n ilive)
+    live;
   List.iter
     (fun out ->
       let a = Interp.Eval.fetch_output ~dir:dir_i out in
@@ -205,6 +208,41 @@ let test_exec_leaves_no_temp_dir () =
   | Driver.Failed ds ->
       Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds));
   Alcotest.(check (array string)) "temp root left empty" [||] (Sys.readdir tmp)
+
+(* --- shadowed matrix declarations ----------------------------------------- *)
+
+(* A matrix redeclared in a nested block and left by [return] or [break]:
+   each handle must be released exactly once, so both backends agree and
+   nothing stays live. *)
+let test_shadowed_matrix_release () =
+  List.iter
+    (fun (name, src) -> differential ~live:0 ~name ~inputs:[] ~outputs:[] src)
+    [
+      ( "shadow-return",
+        {|int f(int r) {
+            Matrix float <1> a = with ([0] <= [i] < [4]) genarray([4], 1.0);
+            if (r == 0) {
+              Matrix float <1> a = with ([0] <= [i] < [3]) genarray([3], 2.0);
+              return 1;
+            }
+            return 2;
+          }
+          int main() { return f(0) + f(1); }|} );
+      ( "shadow-break",
+        {|int main() {
+            int s = 0;
+            Matrix float <1> a = with ([0] <= [i] < [4]) genarray([4], 1.0);
+            while (s < 3) {
+              Matrix float <1> a = with ([0] <= [i] < [2]) genarray([2], 3.0);
+              if (s == 1) {
+                Matrix float <1> a = with ([0] <= [i] < [3]) genarray([3], 2.0);
+                break;
+              }
+              s = s + 1;
+            }
+            return s + dimSize(a, 0);
+          }|} );
+    ]
 
 (* --- result-protocol shapes --------------------------------------------- *)
 
@@ -354,6 +392,113 @@ let test_cache_gauge_exported () =
   Alcotest.(check bool) "cache.hit >= 1" true (gauge "cache.hit" >= 1.);
   Alcotest.(check bool) "cache.miss >= 1" true (gauge "cache.miss" >= 1.)
 
+(* --- the probe-free cache hit --------------------------------------------- *)
+
+(* A compiler wrapper for MMC_CC that appends each invocation to
+   [dir]/cc.log and forwards to the real compiler; with [reject_openmp]
+   it fails every [-fopenmp] compile, as a compiler without OpenMP
+   would.  Each wrapper has its own path, so the in-process probe memo
+   never answers for it. *)
+let cc_wrapper ?(reject_openmp = false) dir =
+  let real = Native.Toolchain.default_cc () in
+  let log = Filename.concat dir "cc.log" in
+  let wrapper = Filename.concat dir "cc.sh" in
+  Out_channel.with_open_text wrapper (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\necho \"$*\" >> %s\n%sexec %s \"$@\"\n"
+        (Filename.quote log)
+        (if reject_openmp then
+           "for a in \"$@\"; do [ \"$a\" = -fopenmp ] && exit 1; done\n"
+         else "")
+        real);
+  Unix.chmod wrapper 0o755;
+  let calls () =
+    if Sys.file_exists log then
+      In_channel.with_open_text log In_channel.input_lines |> List.length
+    else 0
+  in
+  (wrapper, calls)
+
+let mmc_exe = Filename.concat (Filename.concat ".." "bin") "mmc.exe"
+
+(* A warm `mmc exec` process finds its binary under the OpenMP toolchain
+   and never runs the compiler; a cold one probes (two compiles) and
+   builds (one).  Without OpenMP the warm run still has to probe. *)
+let test_warm_exec_runs_no_compiler () =
+  let tc = ensure_cc () in
+  Tmp.with_dir @@ fun dir ->
+  let wrapper, calls = cc_wrapper dir in
+  let exec () =
+    let out = Filename.concat dir "out.txt" in
+    let cmd =
+      Printf.sprintf "MMC_CC=%s %s exec --cache-dir %s %s > %s 2>&1"
+        (Filename.quote wrapper) (Filename.quote mmc_exe)
+        (Filename.quote (Filename.concat dir "cache"))
+        (Filename.quote (Filename.concat "../examples" "eddy_energy.mc"))
+        (Filename.quote out)
+    in
+    let code = Sys.command cmd in
+    let text = In_channel.with_open_text out In_channel.input_all in
+    Alcotest.(check int) ("mmc exec exits 0: " ^ text) 0 code;
+    text
+  in
+  let cold = exec () in
+  Alcotest.(check int) "cold exec: two probe compiles and one build" 3
+    (calls ());
+  let warm = exec () in
+  Alcotest.(check int)
+    (if tc.Native.Toolchain.openmp then "warm exec runs no compiler"
+     else "warm exec without OpenMP probes")
+    (if tc.Native.Toolchain.openmp then 3 else 5)
+    (calls ());
+  Alcotest.(check string) "warm output equals cold" cold warm
+
+(* A compiler that rejects -fopenmp: the warm run misses the OpenMP slot,
+   probes, hits the sequential slot the cold run filled, and still
+   matches the interpreter bit for bit. *)
+let test_no_openmp_warm_hit () =
+  ignore (ensure_cc ());
+  Tmp.with_dir @@ fun dir ->
+  let wrapper, calls = cc_wrapper ~reject_openmp:true dir in
+  let cache_dir = Filename.concat dir "cache" in
+  let src = example "eddy_energy.mc" in
+  Runtime.Rc.reset ();
+  let iv =
+    match Driver.run full src [] with
+    | Driver.Ok_ v -> v
+    | Driver.Failed ds ->
+        Alcotest.failf "interp failed: %s" (Driver.diags_to_string ds)
+  in
+  let ilive = Runtime.Rc.live_count () in
+  let saved = Option.value (Sys.getenv_opt "MMC_CC") ~default:"" in
+  Unix.putenv "MMC_CC" wrapper;
+  Support.Telemetry.reset ();
+  Support.Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "MMC_CC" saved;
+      Support.Telemetry.set_enabled false)
+  @@ fun () ->
+  let exec () =
+    match Driver.exec ~cache_dir ~threads:2 full src with
+    | Driver.Ok_ o -> o
+    | Driver.Failed ds ->
+        Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds)
+  in
+  let cold = exec () in
+  Alcotest.(check bool) "cold run compiles" false cold.Native.Exec.from_cache;
+  Alcotest.(check int) "cold: probe pair plus build" 3 (calls ());
+  let warm = exec () in
+  Alcotest.(check bool) "warm run hits the sequential slot" true
+    warm.Native.Exec.from_cache;
+  Alcotest.(check string) "same binary" cold.Native.Exec.exe
+    warm.Native.Exec.exe;
+  Alcotest.(check (option (float 0.))) "native.openmp" (Some 0.)
+    (List.assoc_opt "native.openmp" (Support.Telemetry.gauges ()));
+  Alcotest.(check bool) "value matches the interpreter" true
+    (value_eq iv warm.Native.Exec.value);
+  Alcotest.(check int) "live count matches the interpreter" ilive
+    warm.Native.Exec.live
+
 (* --- toolchain edge cases ------------------------------------------------ *)
 
 let test_missing_compiler_graceful () =
@@ -491,6 +636,8 @@ let suite =
       test_eddy_flag_matrix;
     Alcotest.test_case "in-place slice reads natively" `Quick
       test_inplace_slice_reads;
+    Alcotest.test_case "shadowed matrix: return and break release once"
+      `Quick test_shadowed_matrix_release;
     Alcotest.test_case "result protocol: every value shape" `Quick
       test_result_shapes;
     Alcotest.test_case "tuple-valued entry function" `Quick test_tuple_entry;
@@ -502,6 +649,10 @@ let suite =
       test_cache_invalidation_on_flag_change;
     Alcotest.test_case "cache: hit/miss gauges exported" `Quick
       test_cache_gauge_exported;
+    Alcotest.test_case "cache hit: warm exec runs no compiler" `Quick
+      test_warm_exec_runs_no_compiler;
+    Alcotest.test_case "cache hit: no OpenMP, sequential slot" `Quick
+      test_no_openmp_warm_hit;
     Alcotest.test_case "missing compiler: graceful diagnostic" `Quick
       test_missing_compiler_graceful;
     Alcotest.test_case "runtime failure maps to diagnostic" `Quick

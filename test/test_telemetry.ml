@@ -298,6 +298,45 @@ let test_no_alias_across_parameters () =
 
 (* --- CLI surface -------------------------------------------------------------------- *)
 
+(* --- native exec attribution ---------------------------------------------------- *)
+
+(* The native leg of [driver.exec] is split into [cache.lookup],
+   [native.probe], [native.compile] and [native.run].  A cold exec looks
+   up, probes and compiles; a warm one only looks up — its hit stands in
+   for the probe, unless the compiler lacks OpenMP, in which case the
+   OpenMP slot misses and the probe runs. *)
+let test_exec_spans () =
+  match Native.Toolchain.probe () with
+  | Error e ->
+      Printf.printf "SKIP: no C compiler (%s)\n%!"
+        (Native.Toolchain.describe_error e);
+      Alcotest.skip ()
+  | Ok tc ->
+      Tmp.with_dir @@ fun cache_dir ->
+      let c = Driver.compose [ Driver.matrix ] in
+      let exec () =
+        with_telemetry @@ fun () ->
+        (match Driver.exec ~cache_dir c "int main() { return 7; }" with
+        | Driver.Ok_ _ -> ()
+        | Driver.Failed ds ->
+            Alcotest.failf "exec failed: %s" (Driver.diags_to_string ds));
+        List.map (fun sp -> sp.T.sp_name) (T.spans ())
+      in
+      let has names n = List.mem n names in
+      let cold = exec () in
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) ("cold exec has " ^ n) true (has cold n))
+        [ "cache.lookup"; "native.probe"; "native.compile"; "native.run" ];
+      let warm = exec () in
+      Alcotest.(check bool) "warm exec has cache.lookup" true
+        (has warm "cache.lookup");
+      Alcotest.(check bool) "warm exec has no native.compile" false
+        (has warm "native.compile");
+      Alcotest.(check bool)
+        "warm exec probes only without OpenMP" (not tc.Native.Toolchain.openmp)
+        (has warm "native.probe")
+
 let mmc_exe = Filename.concat (Filename.concat ".." "bin") "mmc.exe"
 
 let test_cli_stats_and_trace () =
@@ -386,6 +425,8 @@ let suite =
       test_no_alias_when_transitive_alias_mutated;
     Alcotest.test_case "no aliasing across matrix parameters" `Quick
       test_no_alias_across_parameters;
+    Alcotest.test_case "exec: cache.lookup and native.probe spans" `Quick
+      test_exec_spans;
     Alcotest.test_case "mmc --stats/--trace smoke" `Quick
       test_cli_stats_and_trace;
   ]
